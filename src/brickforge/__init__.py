@@ -23,9 +23,7 @@ from .decode import (
     SubprocessPolicy,
     UniformLegalPolicy,
     generate,
-    greedy_geometry_policy,
     rollback,
-    uniform_legal_policy,
     validate_tuple,
 )
 from .geometry import (

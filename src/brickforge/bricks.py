@@ -77,6 +77,16 @@ def attached(a: Brick, b: Brick) -> bool:
     return abs(a.z - b.z) == 1 and footprints_overlap(a, b)
 
 
+def _stamp(occ: np.ndarray, brick: Brick) -> None:
+    """Mark ``brick``'s cells in ``occ``; raises CollisionError naming the
+    first occupied cell (x-major) when any of them is taken."""
+    block = occ[brick.x:brick.x + brick.h, brick.y:brick.y + brick.w, brick.z]
+    if block.any():
+        idx = np.argwhere(block)[0]
+        raise CollisionError((brick.x + int(idx[0]), brick.y + int(idx[1]), brick.z))
+    block[...] = True
+
+
 class BrickAssembly:
     """An ordered, collision-free collection of bricks with a dense occupancy grid.
 
@@ -87,14 +97,20 @@ class BrickAssembly:
     def __init__(self, bricks: tuple[Brick, ...] = ()):
         occ = np.zeros((GRID, GRID, GRID), dtype=bool)
         for brick in bricks:
-            block = occ[brick.x:brick.x + brick.h, brick.y:brick.y + brick.w, brick.z]
-            if block.any():
-                idx = np.argwhere(block)[0]
-                raise CollisionError((brick.x + int(idx[0]), brick.y + int(idx[1]), brick.z))
-            block[...] = True
+            _stamp(occ, brick)
         self._bricks = tuple(bricks)
         self._occ = occ
         self._occ.setflags(write=False)
+
+    @classmethod
+    def _checked(cls, bricks: tuple[Brick, ...], occ: np.ndarray) -> "BrickAssembly":
+        """Wrap bricks whose occupancy ``occ`` the caller has already built
+        collision-free; skips the per-brick re-stamping of ``__init__``."""
+        self = cls.__new__(cls)
+        self._bricks = bricks
+        self._occ = occ
+        occ.setflags(write=False)
+        return self
 
     @property
     def bricks(self) -> tuple[Brick, ...]:
@@ -126,25 +142,33 @@ class BrickAssembly:
 def place(assembly: BrickAssembly, brick: Brick) -> BrickAssembly:
     """Return a new assembly with ``brick`` added.
 
-    Raises OutOfBoundsError / SizeNotInLibraryError (from Brick validation,
-    when given raw values) or CollisionError when the brick intersects an
-    occupied cell.
+    Only the new brick is stamped, into a copy of the parent's occupancy;
+    the parent's bricks are not re-checked.  Raises OutOfBoundsError /
+    SizeNotInLibraryError (from Brick validation, when given raw values) or
+    CollisionError when the brick intersects an occupied cell.
     """
-    block = assembly.occupancy[brick.x:brick.x + brick.h, brick.y:brick.y + brick.w, brick.z]
-    if block.any():
-        idx = np.argwhere(block)[0]
-        raise CollisionError((brick.x + int(idx[0]), brick.y + int(idx[1]), brick.z))
-    return BrickAssembly(assembly.bricks + (brick,))
+    occ = assembly.occupancy.copy()
+    _stamp(occ, brick)
+    return BrickAssembly._checked(assembly.bricks + (brick,), occ)
 
 
 def attachment_edges(assembly: BrickAssembly) -> set[tuple[int, int]]:
-    """Undirected attachment edges as (i, j) index pairs with i < j."""
+    """Undirected attachment edges as (i, j) index pairs with i < j.
+
+    Bricks are bucketed by layer, so only layers z and z + 1 are compared.
+    """
     bricks = assembly.bricks
+    layers: dict[int, list[int]] = {}
+    for i, brick in enumerate(bricks):
+        layers.setdefault(brick.z, []).append(i)
     edges = set()
-    for i in range(len(bricks)):
-        for j in range(i + 1, len(bricks)):
-            if attached(bricks[i], bricks[j]):
-                edges.add((i, j))
+    for z, lower in layers.items():
+        upper = layers.get(z + 1, ())
+        for i in lower:
+            a = bricks[i]
+            for j in upper:
+                if footprints_overlap(a, bricks[j]):
+                    edges.add((i, j) if i < j else (j, i))
     return edges
 
 

@@ -407,14 +407,6 @@ class SubprocessPolicy(Policy):
         raise BrickforgeError(f"expected tuple/eop action, got {reply!r}")
 
 
-def uniform_legal_policy() -> Policy:
-    return UniformLegalPolicy()
-
-
-def greedy_geometry_policy(temperature: float = 0.0, overflow_penalty: float = 2.0) -> Policy:
-    return GreedyGeometryPolicy(temperature, overflow_penalty)
-
-
 @dataclass
 class RollbackEvent:
     sequence_before: TokenSequence

@@ -15,6 +15,7 @@ from .errors import (
     DegenerateExtentError,
     EmptyCloudError,
     EmptyMeshError,
+    NonFiniteInputError,
 )
 
 
@@ -27,8 +28,12 @@ class PointCloud:
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
+        if not np.isfinite(self.points).all():
+            raise NonFiniteInputError("point cloud has a NaN or infinite coordinate")
         if self.normals is not None:
             self.normals = np.asarray(self.normals, dtype=float).reshape(-1, 3)
+            if not np.isfinite(self.normals).all():
+                raise NonFiniteInputError("point cloud has a NaN or infinite normal")
             if len(self.normals) != len(self.points):
                 raise ValueError("normals must match point count")
             norms = np.linalg.norm(self.normals, axis=1)

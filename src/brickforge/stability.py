@@ -214,6 +214,12 @@ _SOLVER_OPTIONS = {
 }
 
 
+def _solve(program: EquilibriumProgram, options: dict):
+    return linprog(program.c, A_ub=program.A_ub, b_ub=program.b_ub,
+                   A_eq=program.A_eq, b_eq=program.b_eq, bounds=program.bounds,
+                   method="highs", options=options)
+
+
 def stability_scores(assembly: BrickAssembly, params: PhysicsParams | None = None) -> StabilityReport:
     """Score every brick in [0, 1].
 
@@ -245,9 +251,11 @@ def stability_scores(assembly: BrickAssembly, params: PhysicsParams | None = Non
         return report
 
     program = assemble_equilibrium_program(assembly, params, grounded)
-    result = linprog(program.c, A_ub=program.A_ub, b_ub=program.b_ub,
-                     A_eq=program.A_eq, b_eq=program.b_eq, bounds=program.bounds,
-                     method="highs", options=_SOLVER_OPTIONS)
+    result = _solve(program, _SOLVER_OPTIONS)
+    if not result.success:
+        # HiGHS presolve occasionally stops at "Not Set" on a solvable program
+        # after 0 iterations; the same LP without presolve solves.
+        result = _solve(program, {**_SOLVER_OPTIONS, "presolve": False})
     if not result.success:
         raise SolverFailureError(int(getattr(result, "nit", MAX_ITERATIONS)),
                                  detail=result.message)

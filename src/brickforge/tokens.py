@@ -91,16 +91,7 @@ def token_to_id(token: Token) -> int:
 def token_from_id(tid: int) -> Token:
     if not 0 <= tid < CODEBOOK_SIZE:
         raise MalformedSequenceError(f"token id {tid} outside [0,{CODEBOOK_SIZE})")
-    for kind, sid in _SPECIALS.items():
-        if tid == sid:
-            return Token(kind)
-    if tid < _SIZE_BASE:
-        return Token(KIND_COORD, tid - _COORD_BASE)
-    if tid < _F_BASE:
-        return Token(KIND_SIZE, SIZE_VALUES[tid - _SIZE_BASE])
-    if tid < _M_BASE:
-        return Token(KIND_F, tid - _F_BASE)
-    return Token(KIND_M, tid - _M_BASE)
+    return _TOKEN_BY_ID[tid]
 
 
 @dataclass(frozen=True)
@@ -134,6 +125,17 @@ def baseline_codebook() -> list[CodebookEntry]:
     entries += [CodebookEntry(3 + v, KIND_COORD, v, f"C{v}") for v in range(GRID)]
     entries += [CodebookEntry(23 + i, KIND_SIZE, v, f"S{v}") for i, v in enumerate(SIZE_VALUES)]
     return entries
+
+
+_TOKEN_BY_ID = tuple(Token(e.kind, e.value) for e in codebook())
+
+# Every canonical text field (``X5``, ``H2``, ``F17``, ``EOP``, ...) and its
+# token; ``TokenSequence.from_text`` parses only the fields missing here.
+_TOKEN_BY_TEXT = {kind: Token(kind) for kind in _SPECIALS}
+_TOKEN_BY_TEXT.update({f"{label}{v}": coord(v) for label in "XYZC" for v in range(GRID)})
+_TOKEN_BY_TEXT.update({f"{label}{v}": size(v) for label in "HWS" for v in SIZE_VALUES})
+_TOKEN_BY_TEXT.update({f"F{v}": f_token(v) for v in range(F_RANGE)})
+_TOKEN_BY_TEXT.update({f"M{v}": m_token(v) for v in range(M_RANGE)})
 
 
 class TokenSequence:
@@ -209,8 +211,9 @@ class TokenSequence:
     def from_text(text: str) -> "TokenSequence":
         tokens = []
         for field in text.split():
-            if field in ("BOS", "EOS", "PAD", "EOP"):
-                tokens.append(Token(field))
+            token = _TOKEN_BY_TEXT.get(field)
+            if token is not None:
+                tokens.append(token)
                 continue
             label, digits = field[0], field[1:]
             if not digits.isdigit():

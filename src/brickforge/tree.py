@@ -6,7 +6,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .attach import encode_attachment
-from .bricks import BrickAssembly, attachment_adjacency, root_index
+from .bricks import BrickAssembly, attachment_adjacency, connected_components, root_index
 from .errors import DisconnectedGraphError
 
 
@@ -48,20 +48,5 @@ def build_spanning_tree(assembly: BrickAssembly) -> AttachmentTree:
             tree.parent[c] = p
             queue.append(c)
     if len(tree.bfs_order) != len(bricks):
-        components = 1
-        remaining = [i for i in range(len(bricks)) if not visited[i]]
-        seen = set(tree.bfs_order)
-        while remaining:
-            components += 1
-            stack = [remaining[0]]
-            comp = set()
-            while stack:
-                i = stack.pop()
-                if i in comp:
-                    continue
-                comp.add(i)
-                stack.extend(j for j in adj[i] if j not in comp and j not in seen)
-            seen |= comp
-            remaining = [i for i in remaining if i not in comp]
-        raise DisconnectedGraphError(components)
+        raise DisconnectedGraphError(len(connected_components(assembly)))
     return tree

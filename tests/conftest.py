@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from brickforge.attach import decode_attachment
-from brickforge.bricks import CATALOG_SIZES, GRID, Brick, BrickAssembly
+from brickforge.bricks import CATALOG_SIZES, GRID, Brick, BrickAssembly, attached
+from brickforge.errors import CollisionError
 from brickforge.tokens import KIND_EOP
 
 CATALOG = sorted(CATALOG_SIZES)
@@ -50,6 +51,25 @@ def grow_random_assembly(rng: np.random.Generator, n_bricks: int,
             failures = 0
         if len(bricks) >= min(n_bricks, 5) or n_bricks < 5:
             return BrickAssembly(tuple(bricks))
+
+
+def place_reference(assembly: BrickAssembly, brick: Brick) -> BrickAssembly:
+    """The full-rebuild ``place``, kept as the oracle for the one-brick stamp:
+    check the new brick's cells, then re-stamp every brick into a fresh
+    assembly through the validating constructor."""
+    block = assembly.occupancy[brick.x:brick.x + brick.h, brick.y:brick.y + brick.w, brick.z]
+    if block.any():
+        idx = np.argwhere(block)[0]
+        raise CollisionError((brick.x + int(idx[0]), brick.y + int(idx[1]), brick.z))
+    return BrickAssembly(assembly.bricks + (brick,))
+
+
+def attachment_edges_reference(assembly: BrickAssembly) -> set[tuple[int, int]]:
+    """All-pairs attachment edges, kept as the oracle for the layer-bucketed
+    ``attachment_edges``."""
+    bricks = assembly.bricks
+    return {(i, j) for i in range(len(bricks)) for j in range(i + 1, len(bricks))
+            if attached(bricks[i], bricks[j])}
 
 
 def replay_reference(body_tokens) -> tuple:

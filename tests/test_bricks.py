@@ -188,6 +188,14 @@ def test_spanning_tree_disconnected():
     assert err.value.components == 2
 
 
+def test_spanning_tree_disconnected_counts_every_component():
+    a = BrickAssembly((Brick(2, 2, 8, 8, 4), Brick(1, 1, 0, 0, 0), Brick(1, 2, 8, 9, 5),
+                       Brick(1, 1, 19, 19, 0), Brick(1, 1, 0, 0, 1)))
+    with pytest.raises(DisconnectedGraphError) as err:
+        build_spanning_tree(a)
+    assert err.value.components == 3
+
+
 def test_root_is_lexicographic_min():
     a = BrickAssembly((Brick(1, 1, 5, 5, 1), Brick(2, 2, 4, 4, 0)))
     assert root_index(a) == 1

@@ -7,6 +7,7 @@ from brickforge.errors import (
     DegenerateExtentError,
     EmptyCloudError,
     EmptyMeshError,
+    NonFiniteInputError,
 )
 from brickforge.geometry import (
     PointCloud,
@@ -45,6 +46,26 @@ def box_shell_cloud(n=30000, seed=7):
         pts[i, others[0]] = uv[i, 0]
         pts[i, others[1]] = uv[i, 1]
     return PointCloud(pts)
+
+
+class TestPointCloud:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_rejected(self, bad):
+        points = np.zeros((4, 3))
+        points[2, 1] = bad
+        with pytest.raises(NonFiniteInputError):
+            PointCloud(points)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_normal_rejected(self, bad):
+        normals = np.tile([0.0, 0.0, 1.0], (4, 1))
+        normals[3, 0] = bad
+        with pytest.raises(NonFiniteInputError):
+            PointCloud(np.zeros((4, 3)), normals)
+
+    def test_nan_line_in_text_rejected(self):
+        with pytest.raises(NonFiniteInputError):
+            PointCloud.from_text("0 0 0\n1 1 1\nnan 0 0\n")
 
 
 class TestVoxelizePoints:

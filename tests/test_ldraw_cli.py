@@ -192,6 +192,16 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "collision"
 
+    def test_score_rejects_non_finite_cloud(self, assembly_file, tmp_path, capsys):
+        cloud = tmp_path / "nan.xyz"
+        cloud.write_text("0 0 0\n1 2 3\nnan 1 1\n4 4 4\n")
+        assert main(["score", "--target", str(cloud), str(assembly_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "non_finite_input",
+            "detail": "point cloud has a NaN or infinite coordinate"}
+
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -111,6 +111,23 @@ class TestCodebook:
         names = [e.name for e in codebook()[:4]]
         assert names == ["BOS", "EOS", "PAD", "EOP"]
 
+    def test_every_id_roundtrips_through_both_wire_forms(self):
+        for tid in range(CODEBOOK_SIZE):
+            tok = token_from_id(tid)
+            assert token_to_id(tok) == tid
+            seq = TokenSequence([tok])
+            assert TokenSequence.from_text(seq.to_text()) == seq
+            assert TokenSequence.from_binary(seq.to_binary()) == seq
+        every = TokenSequence.from_ids(range(CODEBOOK_SIZE))
+        assert every.ids() == list(range(CODEBOOK_SIZE))
+        assert TokenSequence.from_text(every.to_text()) == every
+        assert TokenSequence.from_binary(every.to_binary()) == every
+
+    @pytest.mark.parametrize("tid", [-1, CODEBOOK_SIZE, 255])
+    def test_id_out_of_range(self, tid):
+        with pytest.raises(MalformedSequenceError, match=rf"^token id {tid} outside \[0,65\)$"):
+            token_from_id(tid)
+
 
 class TestTokenize:
     def test_single_brick(self):
@@ -270,3 +287,36 @@ class TestWireFormats:
     def test_bad_text(self):
         with pytest.raises(MalformedSequenceError):
             TokenSequence.from_text("BOS Q9 EOS")
+
+    @pytest.mark.parametrize("field, message", [
+        ("X25", "coordinate 25 outside [0,20)"),
+        ("C20", "coordinate 20 outside [0,20)"),
+        ("Q1", "unparseable token field 'Q1'"),
+        ("F", "unparseable token field 'F'"),
+        ("X-1", "unparseable token field 'X-1'"),
+        ("bos", "unparseable token field 'bos'"),
+        ("M12", "m 12 outside [0,12)"),
+        ("F24", "f 24 outside [0,24)"),
+        ("H3", "size 3 not in (1, 2, 4, 6, 8)"),
+        ("W0", "size 0 not in (1, 2, 4, 6, 8)"),
+    ])
+    def test_malformed_text_field_messages(self, field, message):
+        with pytest.raises(MalformedSequenceError) as err:
+            TokenSequence.from_text(f"BOS {field} EOS")
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("field, token", [
+        ("X05", Token("COORD", 5)),
+        ("C7", Token("COORD", 7)),
+        ("S08", Token("SIZE", 8)),
+        ("F007", Token("F", 7)),
+        ("M0", Token("M", 0)),
+    ])
+    def test_noncanonical_text_fields_parse(self, field, token):
+        assert TokenSequence.from_text(f"BOS {field} EOS").tokens[1] == token
+
+    def test_binary_names_the_first_out_of_range_id(self):
+        blob = (4).to_bytes(4, "little") + bytes([0, 70, 200, 1])
+        with pytest.raises(MalformedSequenceError) as err:
+            TokenSequence.from_binary(blob)
+        assert str(err.value) == "token id 70 outside [0,65)"
