@@ -93,6 +93,10 @@ class NonFiniteInputError(BrickforgeError):
     code = "non_finite_input"
 
 
+class MalformedInputError(BrickforgeError):
+    code = "malformed_input"
+
+
 class EmptyTargetError(BrickforgeError):
     code = "empty_target"
 

@@ -15,6 +15,7 @@ from .errors import (
     DegenerateExtentError,
     EmptyCloudError,
     EmptyMeshError,
+    MalformedInputError,
     NonFiniteInputError,
 )
 
@@ -38,7 +39,7 @@ class PointCloud:
                 raise ValueError("normals must match point count")
             norms = np.linalg.norm(self.normals, axis=1)
             if np.any(np.abs(norms - 1.0) > 1e-6):
-                raise ValueError("normals must have unit length within 1e-6")
+                raise MalformedInputError("normals must have unit length within 1e-6")
 
     def __len__(self):
         return len(self.points)
@@ -60,14 +61,18 @@ class PointCloud:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            values = [float(v) for v in line.split()]
-            if len(values) not in (3, 6):
-                raise ValueError(f"point line needs 3 or 6 fields, got {len(values)}")
+            fields = line.split()
+            if len(fields) not in (3, 6):
+                raise MalformedInputError(f"point line needs 3 or 6 fields, got {len(fields)}")
+            try:
+                values = [float(v) for v in fields]
+            except ValueError as err:
+                raise MalformedInputError(f"point line has a non-numeric field ({err})") from None
             points.append(values[:3])
             if len(values) == 6:
                 normals.append(values[3:])
         if normals and len(normals) != len(points):
-            raise ValueError("normals present on some lines but not all")
+            raise MalformedInputError("normals present on some lines but not all")
         return PointCloud(np.array(points), np.array(normals) if normals else None)
 
 
@@ -116,7 +121,10 @@ class SurfaceMesh:
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float).reshape(-1, 3)
         self.triangles = np.asarray(self.triangles, dtype=int).reshape(-1, 3)
-        if len(self.triangles) and self.triangles.max() >= len(self.vertices):
+        if not np.isfinite(self.vertices).all():
+            raise NonFiniteInputError("mesh has a NaN or infinite vertex")
+        if len(self.triangles) and (self.triangles.min() < 0
+                                    or self.triangles.max() >= len(self.vertices)):
             raise ValueError("triangle index out of range")
 
     def n_triangles(self) -> int:
@@ -190,44 +198,18 @@ _FACE_LOOPS = {
     (0, 0, 1): ((0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)),
     (0, 0, -1): ((0, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0, 0)),
 }
+_NORMALS = np.array(list(_FACE_LOOPS))          # normal k ^ 1 is minus normal k
+_LOOPS = np.array(list(_FACE_LOOPS.values()))
+# unit step from a face's centre toward its edge (corner a, corner a + 1),
+# and that step as an index into _NORMALS
+_EDGE_TANGENTS = _LOOPS + np.roll(_LOOPS, -1, axis=1) - 1 - _NORMALS[:, None, :]
+_TANGENT_NORMAL = (_EDGE_TANGENTS[:, :, None, :] == _NORMALS).all(axis=3).argmax(axis=2)
+_UNSPLIT_RIM = np.array([0, 0, 1, 0, 1, 0, 1, 0, 0], dtype=bool)
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int):
-        self.parent[self.find(i)] = self.find(j)
-
-
-def _neighbor_face(occ, cell, normal, tangent):
-    """The boundary face paired with (cell, normal) around the edge on the
-    ``tangent`` side, found by rotating around the edge through the solid:
-    the cell's own convex turn first, then the coplanar continuation, then
-    the concave neighbor.  The rule is mutual, so every face edge pairs with
-    exactly one partner, and solid wedges that touch only along an edge stay
-    separate sheets (with coincident but distinct vertices), keeping the
-    surface a closed oriented 2-manifold.
-    """
-
-    def occupied(c):
-        return (0 <= c[0] < occ.shape[0] and 0 <= c[1] < occ.shape[1]
-                and 0 <= c[2] < occ.shape[2] and occ[c])
-
-    side = (cell[0] + tangent[0], cell[1] + tangent[1], cell[2] + tangent[2])
-    if not occupied(side):
-        return cell, tangent
-    diag = (cell[0] + normal[0] + tangent[0], cell[1] + normal[1] + tangent[1],
-            cell[2] + normal[2] + tangent[2])
-    if not occupied(diag):
-        return side, normal
-    return diag, tuple(-t for t in tangent)
+def _strides(shape) -> np.ndarray:
+    """Flat-index step per axis of a C-ordered array of ``shape``."""
+    return np.array([shape[1] * shape[2], shape[2], 1])
 
 
 def extract_surface(grid: VoxelGrid) -> SurfaceMesh:
@@ -238,98 +220,106 @@ def extract_surface(grid: VoxelGrid) -> SurfaceMesh:
     only along the rotating edge pairing, which keeps every edge on exactly
     two triangles.  The result is an outward-oriented 2-manifold whose
     enclosed volume equals the occupied cell count exactly.
+
+    An edge pairs with the face met by rotating around it through the solid:
+    the cell's own convex turn, else the coplanar continuation, else the
+    concave neighbour.  Wedges touching along an edge stay separate sheets;
+    each gets its own midpoint there, and its faces fan from their centres.
+    Faces come in ``np.argwhere`` then ``_FACE_LOOPS`` order, and vertices
+    are numbered by first use over each face's corners, midpoints and centre.
     """
-    occ = grid.occupancy
-    nx, ny, nz = occ.shape
-
-    faces: list[tuple[tuple[int, int, int], tuple[int, int, int]]] = []
-    face_ids: dict[tuple, int] = {}
-    for x, y, z in np.argwhere(occ):
-        cell = (int(x), int(y), int(z))
-        for normal in _FACE_LOOPS:
-            ox, oy, oz = cell[0] + normal[0], cell[1] + normal[1], cell[2] + normal[2]
-            if 0 <= ox < nx and 0 <= oy < ny and 0 <= oz < nz and occ[ox, oy, oz]:
-                continue
-            face_ids[(cell, normal)] = len(faces)
-            faces.append((cell, normal))
-
-    if not faces:
+    # Cells are flat indices into the padded grid; points (corners, edge
+    # midpoints, face centres) are flat indices into a grid of half steps.
+    padded = np.pad(grid.occupancy, 1)
+    solid = padded.ravel()
+    stride = _strides(padded.shape)
+    half_shape = tuple(2 * n + 1 for n in grid.occupancy.shape)
+    half_stride = _strides(half_shape)
+    xyz = np.argwhere(grid.occupancy)
+    cells = (xyz + 1) @ stride
+    cell_of, normal_of = np.nonzero(~solid[cells[:, None] + _NORMALS @ stride])
+    n_faces = len(normal_of)
+    if n_faces == 0:
         return SurfaceMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
+    here = cells[cell_of][:, None]
+    face_at = np.full(6 * solid.size, -1)
+    face_at[6 * here[:, 0] + normal_of] = np.arange(n_faces)
 
-    corners = []  # absolute corner positions per face, in outward loop order
-    for cell, normal in faces:
-        loop = _FACE_LOOPS[normal]
-        corners.append([(cell[0] + d[0], cell[1] + d[1], cell[2] + d[2]) for d in loop])
+    # partner face across each edge, by the rotating rule
+    tangent = (_EDGE_TANGENTS @ stride)[normal_of]
+    normal = (_NORMALS @ stride)[normal_of][:, None]
+    side = solid[here + tangent]
+    diagonal = solid[here + tangent + normal]
+    concave = side & diagonal
+    other_cell = here + side * tangent + concave * normal
+    turn = _TANGENT_NORMAL[normal_of]
+    other_normal = np.where(side, np.where(concave, turn ^ 1, normal_of[:, None]), turn)
+    partner = face_at[6 * other_cell + other_normal]
+    if (partner < 0).any():
+        raise ValueError("a surface edge has no partner face")
 
-    slots = _UnionFind(4 * len(faces))
-    partner: list[list[int]] = [[-1] * 4 for _ in faces]  # partner face per edge slot
-    edge_users: dict[tuple, list[int]] = {}
-    for fi, (cell, normal) in enumerate(faces):
-        loop = corners[fi]
-        for a in range(4):
-            b = (a + 1) % 4
-            # tangent pointing from the face interior toward this edge
-            mid = tuple((loop[a][k] + loop[b][k]) for k in range(3))
-            center2 = tuple(2 * cell[k] + 1 + normal[k] for k in range(3))
-            tangent = tuple(mid[k] - center2[k] for k in range(3))
-            oi = face_ids[_neighbor_face(occ, cell, normal, tangent)]
-            partner[fi][a] = oi
-            oloop = corners[oi]
-            for slot, corner in ((a, loop[a]), (b, loop[b])):
-                slots.union(4 * fi + slot, 4 * oi + oloop.index(corner))
-            edge_users.setdefault((min(loop[a], loop[b]), max(loop[a], loop[b])), []).append(fi)
+    # Slot 4 * face + a is the face's corner a.  Each edge's first corner
+    # welds to the same corner of its partner; the partner walks the shared
+    # edge the other way and welds the second.  So ``weld`` is a permutation
+    # whose cycles are the rings of faces around each vertex.
+    corner = (2 * xyz[cell_of] @ half_stride)[:, None] + (2 * _LOOPS @ half_stride)[normal_of]
+    match = corner[partner] == corner[:, :, None]
+    if not match.any(axis=2).all():
+        raise ValueError("a partner face lacks the shared corner")
+    at = match[..., 1] + 2 * match[..., 2] + 3 * match[..., 3]
+    weld = (4 * partner + at).ravel()
+    if (np.bincount(weld, minlength=len(weld)) != 1).any():
+        raise ValueError("face corners do not weld into rings")
+    # label each ring by its smallest slot, doubling the jump until it settles
+    corner_ring = np.arange(4 * n_faces)
+    while True:
+        lower = np.minimum(corner_ring, corner_ring[weld])
+        if np.array_equal(lower, corner_ring):
+            break
+        corner_ring, weld = lower, weld[weld]
+    # an edge whose side neighbour is empty but whose diagonal one is solid
+    # is used by four faces: two solid wedges touch along it only
+    pinched = diagonal & ~side
+    split = pinched.any(axis=1)
 
-    vertices: list[tuple[float, float, float]] = []
+    # Per face, in vertex-numbering order: C0 M0 C1 M1 C2 M2 C3 M3 centre.
+    # A corner's key is its ring, a midpoint's the lower of the two edge
+    # slots that share it, a centre's its face.
+    key = np.empty((n_faces, 9), dtype=np.int64)
+    key[:, 0:8:2] = corner_ring.reshape(n_faces, 4)
+    own_edge = np.arange(4 * n_faces).reshape(n_faces, 4)
+    key[:, 1:8:2] = 4 * n_faces + np.minimum(own_edge, 4 * partner + (at + 3) % 4)
+    key[:, 8] = 8 * n_faces + np.arange(n_faces)
+    point = np.empty((n_faces, 9), dtype=np.int64)
+    point[:, 0:8:2] = corner
+    point[:, 1:8:2] = (corner + np.roll(corner, -1, axis=1)) // 2
+    point[:, 8] = (2 * xyz[cell_of] + 1 + _NORMALS[normal_of]) @ half_stride
+    used = np.ones((n_faces, 9), dtype=bool)
+    used[:, 1:8:2] = pinched
+    used[:, 8] = split
 
-    def add_vertex(position) -> int:
-        vertices.append(tuple(float(v) for v in position))
-        return len(vertices) - 1
+    used_key = key[used]
+    first = np.full(9 * n_faces, len(used_key))
+    np.minimum.at(first, used_key, np.arange(len(used_key)))
+    keys_seen = np.flatnonzero(first < len(used_key))
+    by_first_use = keys_seen[np.argsort(first[keys_seen])]
+    number = np.empty(9 * n_faces, dtype=int)
+    number[by_first_use] = np.arange(len(by_first_use))
+    vertex = np.full((n_faces, 9), -1)
+    vertex[used] = number[used_key]
+    vertices = np.stack(np.unravel_index(point[used][first[by_first_use]], half_shape),
+                        axis=1) / 2.0
 
-    vertex_of_class: dict[int, int] = {}
-
-    def corner_vertex(fi: int, slot: int) -> int:
-        cls = slots.find(4 * fi + slot)
-        if cls not in vertex_of_class:
-            vertex_of_class[cls] = add_vertex(corners[fi][slot])
-        return vertex_of_class[cls]
-
-    # Two solid wedges meeting only along an edge produce two coincident
-    # sheets whose corner vertices may still be shared through surrounding
-    # cells; give each sheet its own midpoint vertex on the pinched edge so
-    # no two topological edges collapse onto the same vertex pair.
-    midpoint_of_pair: dict[tuple[int, int], int] = {}
-
-    def pinch_midpoint(fi: int, a: int) -> int | None:
-        loop = corners[fi]
-        b = (a + 1) % 4
-        key = (min(loop[a], loop[b]), max(loop[a], loop[b]))
-        if len(edge_users.get(key, ())) != 4:
-            return None
-        pair = (min(fi, partner[fi][a]), max(fi, partner[fi][a]))
-        if pair not in midpoint_of_pair:
-            mid = tuple((loop[a][k] + loop[b][k]) / 2.0 for k in range(3))
-            midpoint_of_pair[pair] = add_vertex(mid)
-        return midpoint_of_pair[pair]
-
-    triangles: list[tuple[int, int, int]] = []
-    for fi, (cell, normal) in enumerate(faces):
-        ring: list[int] = []
-        split = False
-        for a in range(4):
-            ring.append(corner_vertex(fi, a))
-            mid = pinch_midpoint(fi, a)
-            if mid is not None:
-                ring.append(mid)
-                split = True
-        if not split:
-            triangles.append((ring[0], ring[1], ring[2]))
-            triangles.append((ring[0], ring[2], ring[3]))
-            continue
-        center = add_vertex(tuple(cell[k] + 0.5 + 0.5 * normal[k] for k in range(3)))
-        for i, v in enumerate(ring):
-            triangles.append((center, v, ring[(i + 1) % len(ring)]))
-
-    return SurfaceMesh(np.array(vertices, dtype=float), np.array(triangles, dtype=int))
+    # Fan each face from a hub over its rim: an unsplit face from C0 over
+    # C1 C2 C3, a split one from its centre over C0 M0 ... C3 M3 and back to C0.
+    hub = np.where(split, vertex[:, 8], vertex[:, 0])
+    rim = np.column_stack([vertex[:, :8], vertex[:, 0]])
+    on_rim = np.where(split[:, None], np.column_stack([used[:, :8], split]), _UNSPLIT_RIM)
+    rim = rim[on_rim]
+    size = on_rim.sum(axis=1)
+    spoke = np.delete(np.arange(len(rim)), np.cumsum(size) - 1)
+    triangles = np.column_stack([np.repeat(hub, size - 1), rim[spoke], rim[spoke + 1]])
+    return SurfaceMesh(vertices, triangles)
 
 
 def sample_surface(mesh: SurfaceMesh, n: int, seed: int) -> PointCloud:

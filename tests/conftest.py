@@ -10,6 +10,7 @@ import pytest
 from brickforge.attach import decode_attachment
 from brickforge.bricks import CATALOG_SIZES, GRID, Brick, BrickAssembly, attached
 from brickforge.errors import CollisionError
+from brickforge.geometry import SurfaceMesh, VoxelGrid
 from brickforge.tokens import KIND_EOP
 
 CATALOG = sorted(CATALOG_SIZES)
@@ -70,6 +71,158 @@ def attachment_edges_reference(assembly: BrickAssembly) -> set[tuple[int, int]]:
     bricks = assembly.bricks
     return {(i, j) for i in range(len(bricks)) for j in range(i + 1, len(bricks))
             if attached(bricks[i], bricks[j])}
+
+
+# Boundary-face corner loops, ordered so triangle normals point outward.
+_FACE_LOOPS = {
+    (1, 0, 0): ((1, 0, 0), (1, 1, 0), (1, 1, 1), (1, 0, 1)),
+    (-1, 0, 0): ((0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 1, 0)),
+    (0, 1, 0): ((0, 1, 0), (0, 1, 1), (1, 1, 1), (1, 1, 0)),
+    (0, -1, 0): ((0, 0, 0), (1, 0, 0), (1, 0, 1), (0, 0, 1)),
+    (0, 0, 1): ((0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)),
+    (0, 0, -1): ((0, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0, 0)),
+}
+
+
+class _UnionFind:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, i: int) -> int:
+        while self.parent[i] != i:
+            self.parent[i] = self.parent[self.parent[i]]
+            i = self.parent[i]
+        return i
+
+    def union(self, i: int, j: int):
+        self.parent[self.find(i)] = self.find(j)
+
+
+def _neighbor_face(occ, cell, normal, tangent):
+    """The boundary face paired with (cell, normal) around the edge on the
+    ``tangent`` side, found by rotating around the edge through the solid:
+    the cell's own convex turn first, then the coplanar continuation, then
+    the concave neighbor.  The rule is mutual, so every face edge pairs with
+    exactly one partner, and solid wedges that touch only along an edge stay
+    separate sheets (with coincident but distinct vertices), keeping the
+    surface a closed oriented 2-manifold.
+    """
+
+    def occupied(c):
+        return (0 <= c[0] < occ.shape[0] and 0 <= c[1] < occ.shape[1]
+                and 0 <= c[2] < occ.shape[2] and occ[c])
+
+    side = (cell[0] + tangent[0], cell[1] + tangent[1], cell[2] + tangent[2])
+    if not occupied(side):
+        return cell, tangent
+    diag = (cell[0] + normal[0] + tangent[0], cell[1] + normal[1] + tangent[1],
+            cell[2] + normal[2] + tangent[2])
+    if not occupied(diag):
+        return side, normal
+    return diag, tuple(-t for t in tangent)
+
+
+def extract_surface_reference(grid: VoxelGrid) -> SurfaceMesh:
+    """The per-face ``extract_surface``, kept as the oracle for the array
+    version: closed boundary surface of the occupied region.
+
+    Emits two triangles per exposed unit face (the grid is implicitly padded
+    with empty space, so the surface is always closed) and welds face corners
+    only along the rotating edge pairing, which keeps every edge on exactly
+    two triangles.  The result is an outward-oriented 2-manifold whose
+    enclosed volume equals the occupied cell count exactly.
+    """
+    occ = grid.occupancy
+    nx, ny, nz = occ.shape
+
+    faces: list[tuple[tuple[int, int, int], tuple[int, int, int]]] = []
+    face_ids: dict[tuple, int] = {}
+    for x, y, z in np.argwhere(occ):
+        cell = (int(x), int(y), int(z))
+        for normal in _FACE_LOOPS:
+            ox, oy, oz = cell[0] + normal[0], cell[1] + normal[1], cell[2] + normal[2]
+            if 0 <= ox < nx and 0 <= oy < ny and 0 <= oz < nz and occ[ox, oy, oz]:
+                continue
+            face_ids[(cell, normal)] = len(faces)
+            faces.append((cell, normal))
+
+    if not faces:
+        return SurfaceMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
+
+    corners = []  # absolute corner positions per face, in outward loop order
+    for cell, normal in faces:
+        loop = _FACE_LOOPS[normal]
+        corners.append([(cell[0] + d[0], cell[1] + d[1], cell[2] + d[2]) for d in loop])
+
+    slots = _UnionFind(4 * len(faces))
+    partner: list[list[int]] = [[-1] * 4 for _ in faces]  # partner face per edge slot
+    edge_users: dict[tuple, list[int]] = {}
+    for fi, (cell, normal) in enumerate(faces):
+        loop = corners[fi]
+        for a in range(4):
+            b = (a + 1) % 4
+            # tangent pointing from the face interior toward this edge
+            mid = tuple((loop[a][k] + loop[b][k]) for k in range(3))
+            center2 = tuple(2 * cell[k] + 1 + normal[k] for k in range(3))
+            tangent = tuple(mid[k] - center2[k] for k in range(3))
+            oi = face_ids[_neighbor_face(occ, cell, normal, tangent)]
+            partner[fi][a] = oi
+            oloop = corners[oi]
+            for slot, corner in ((a, loop[a]), (b, loop[b])):
+                slots.union(4 * fi + slot, 4 * oi + oloop.index(corner))
+            edge_users.setdefault((min(loop[a], loop[b]), max(loop[a], loop[b])), []).append(fi)
+
+    vertices: list[tuple[float, float, float]] = []
+
+    def add_vertex(position) -> int:
+        vertices.append(tuple(float(v) for v in position))
+        return len(vertices) - 1
+
+    vertex_of_class: dict[int, int] = {}
+
+    def corner_vertex(fi: int, slot: int) -> int:
+        cls = slots.find(4 * fi + slot)
+        if cls not in vertex_of_class:
+            vertex_of_class[cls] = add_vertex(corners[fi][slot])
+        return vertex_of_class[cls]
+
+    # Two solid wedges meeting only along an edge produce two coincident
+    # sheets whose corner vertices may still be shared through surrounding
+    # cells; give each sheet its own midpoint vertex on the pinched edge so
+    # no two topological edges collapse onto the same vertex pair.
+    midpoint_of_pair: dict[tuple[int, int], int] = {}
+
+    def pinch_midpoint(fi: int, a: int) -> int | None:
+        loop = corners[fi]
+        b = (a + 1) % 4
+        key = (min(loop[a], loop[b]), max(loop[a], loop[b]))
+        if len(edge_users.get(key, ())) != 4:
+            return None
+        pair = (min(fi, partner[fi][a]), max(fi, partner[fi][a]))
+        if pair not in midpoint_of_pair:
+            mid = tuple((loop[a][k] + loop[b][k]) / 2.0 for k in range(3))
+            midpoint_of_pair[pair] = add_vertex(mid)
+        return midpoint_of_pair[pair]
+
+    triangles: list[tuple[int, int, int]] = []
+    for fi, (cell, normal) in enumerate(faces):
+        ring: list[int] = []
+        split = False
+        for a in range(4):
+            ring.append(corner_vertex(fi, a))
+            mid = pinch_midpoint(fi, a)
+            if mid is not None:
+                ring.append(mid)
+                split = True
+        if not split:
+            triangles.append((ring[0], ring[1], ring[2]))
+            triangles.append((ring[0], ring[2], ring[3]))
+            continue
+        center = add_vertex(tuple(cell[k] + 0.5 + 0.5 * normal[k] for k in range(3)))
+        for i, v in enumerate(ring):
+            triangles.append((center, v, ring[(i + 1) % len(ring)]))
+
+    return SurfaceMesh(np.array(vertices, dtype=float), np.array(triangles, dtype=int))
 
 
 def replay_reference(body_tokens) -> tuple:

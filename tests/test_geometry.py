@@ -7,6 +7,7 @@ from brickforge.errors import (
     DegenerateExtentError,
     EmptyCloudError,
     EmptyMeshError,
+    MalformedInputError,
     NonFiniteInputError,
 )
 from brickforge.geometry import (
@@ -66,6 +67,17 @@ class TestPointCloud:
     def test_nan_line_in_text_rejected(self):
         with pytest.raises(NonFiniteInputError):
             PointCloud.from_text("0 0 0\n1 1 1\nnan 0 0\n")
+
+    @pytest.mark.parametrize("text", [
+        "0 0 0\n1 2\n",                 # too few fields
+        "0 0 0 1\n",                     # between 3 and 6
+        "0 0 0\n1 two 3\n",             # not a number
+        "0 0 0 1 0 0\n1 2 3\n",         # normals on some lines only
+        "0 0 0 1 1 1\n",                 # a normal that is not unit length
+    ])
+    def test_malformed_text_rejected(self, text):
+        with pytest.raises(MalformedInputError):
+            PointCloud.from_text(text)
 
 
 class TestVoxelizePoints:
@@ -193,6 +205,26 @@ class TestSurfaceExtraction:
         occ = rng.random((20, 20, 20)) < 0.4
         mesh = extract_surface(VoxelGrid(occ))
         assert mesh.triangle_areas().min() > 0.0
+
+
+class TestSurfaceMesh:
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            SurfaceMesh(np.zeros((3, 3)), [[0, 1, -1]])
+
+    def test_too_large_index_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            SurfaceMesh(np.zeros((3, 3)), [[0, 1, 3]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vertex_rejected(self, bad):
+        vertices = np.zeros((3, 3))
+        vertices[1, 2] = bad
+        with pytest.raises(NonFiniteInputError):
+            SurfaceMesh(vertices, [[0, 1, 2]])
+
+    def test_empty_mesh_accepted(self):
+        assert SurfaceMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int)).n_triangles() == 0
 
 
 class TestSampleSurface:

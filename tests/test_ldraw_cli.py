@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -201,6 +205,39 @@ class TestCli:
         assert json.loads(captured.err) == {
             "error": "non_finite_input",
             "detail": "point cloud has a NaN or infinite coordinate"}
+
+    @pytest.mark.parametrize("command", ["score", "voxelize"])
+    @pytest.mark.parametrize("text, detail", [
+        ("0 0 0\n1 2\n", "point line needs 3 or 6 fields, got 2"),
+        ("0 0 0\n1 two 3\n", "point line has a non-numeric field "
+                               "(could not convert string to float: 'two')"),
+        ("0 0 0 1 0 0\n1 2 3\n", "normals present on some lines but not all"),
+        ("0 0 0 1 0 0\n1 2 3 1 1 1\n", "normals must have unit length within 1e-6"),
+    ])
+    def test_malformed_cloud_envelope(self, command, text, detail, assembly_file,
+                                      tmp_path, capsys):
+        cloud = tmp_path / "bad.xyz"
+        cloud.write_text(text)
+        argv = (["score", "--target", str(cloud), str(assembly_file)]
+                if command == "score" else ["voxelize", str(cloud)])
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert json.loads(captured.err) == {"error": "malformed_input", "detail": detail}
+
+    def test_malformed_cloud_exits_1_from_a_fresh_process(self, assembly_file, tmp_path):
+        cloud = tmp_path / "bad.xyz"
+        cloud.write_text("1 2\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "brickforge.cli", "score", "--target", str(cloud),
+             str(assembly_file)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stderr)["error"] == "malformed_input"
 
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:
