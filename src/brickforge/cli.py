@@ -20,7 +20,7 @@ from .decode import (
     UniformLegalPolicy,
     generate,
 )
-from .errors import BrickforgeError
+from .errors import BrickforgeError, MalformedInputError
 from .geometry import PointCloud, VoxelGrid, voxelize_points
 from .ldraw import export_ldraw
 from .reward import build_preference_pairs, total_reward
@@ -46,7 +46,10 @@ def _load_sequence(path: str) -> TokenSequence:
 
 def _load_target_grid(path: str, solid_fill: bool) -> VoxelGrid:
     if path.endswith(".json"):
-        return VoxelGrid.from_dict(json.loads(Path(path).read_text()))
+        try:
+            return VoxelGrid.from_dict(json.loads(Path(path).read_text()))
+        except ValueError as err:  # undecodable bytes or invalid JSON
+            raise MalformedInputError(f"grid file is not JSON: {err}") from None
     return voxelize_points(PointCloud.from_text(Path(path).read_text()), solid_fill)
 
 

@@ -13,7 +13,7 @@ prefix state, up to a rollback budget.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import json
 import subprocess
 from collections import deque
@@ -63,8 +63,20 @@ REJECT_BOUNDS = "out_of_bounds"
 REJECT_COLLISION = "collision"
 
 _CATALOG_ORDERED = tuple(sorted(CATALOG_SIZES))
-_AREA_CUMSUM = tuple(itertools.accumulate(h * w for h, w in _CATALOG_ORDERED))
-_TOTAL_ANCHORS = _AREA_CUMSUM[-1]  # 85 anchors over the 14 rotated footprints
+_TOTAL_ANCHORS = sum(h * w for h, w in _CATALOG_ORDERED)  # 85 over the 14 rotated footprints
+
+
+@functools.cache
+def _action_table(ph: int, pw: int):
+    """Legal-action table of a ph x pw parent: every child tuple (f, h, w, m)
+    in lexicographic order, so each f spans _TOTAL_ANCHORS rows; each tuple's
+    anchor offset (dx, dy, dz) from the parent, as ``decode_attachment``
+    places it; and the int array of rows (dx, dy, dz, h, w)."""
+    area = ph * pw
+    offsets = {(f, h, w, m): (f % area % ph - m % h, f % area // ph - m // h, 1 - 2 * (f // area))
+               for f in range(2 * area) for h, w in _CATALOG_ORDERED for m in range(h * w)}
+    table = np.column_stack([list(offsets.values()), [a[1:3] for a in offsets]])
+    return tuple(offsets), offsets, table
 
 
 @dataclass(frozen=True)
@@ -195,8 +207,7 @@ def validate_tuple(state: DecodeState, f: int, h: int, w: int, m: int):
     if state.current is None:
         return None, REJECT_CONNECTOR
     parent = state.current_parent()
-    limit = 2 * parent.h * parent.w
-    if not 0 <= f < limit:
+    if not 0 <= f < 2 * parent.h * parent.w:
         return None, REJECT_CONNECTOR
     if (h, w) not in CATALOG_SIZES:
         return None, REJECT_SIZE
@@ -204,14 +215,13 @@ def validate_tuple(state: DecodeState, f: int, h: int, w: int, m: int):
         return None, REJECT_ANCHOR
     if f <= state.f_floor:
         return None, REJECT_NON_MONOTONE
-    try:
-        brick = decode_attachment(f, m, parent, (h, w))
-    except BrickforgeError:
+    dx, dy, dz = _action_table(parent.h, parent.w)[1][f, h, w, m]
+    x, y, z = parent.x + dx, parent.y + dy, parent.z + dz
+    if not (0 <= x <= GRID - h and 0 <= y <= GRID - w and 0 <= z < GRID):
         return None, REJECT_BOUNDS
-    block = state.occupancy[brick.x:brick.x + brick.h, brick.y:brick.y + brick.w, brick.z]
-    if block.any():
+    if state.occupancy[x:x + h, y:y + w, z].any():
         return None, REJECT_COLLISION
-    return brick, None
+    return decode_attachment(f, m, parent, (h, w)), None
 
 
 class Policy:
@@ -243,19 +253,10 @@ class UniformLegalPolicy(Policy):
 
     def propose(self, target, state, rng):
         parent = state.current_parent()
-        n_f = 2 * parent.h * parent.w - 1 - state.f_floor
-        n_tuples = n_f * _TOTAL_ANCHORS
-        pick = int(rng.integers(0, n_tuples + 1))
-        if pick == n_tuples:
-            return None
-        f = state.f_floor + 1 + pick // _TOTAL_ANCHORS
-        r = pick % _TOTAL_ANCHORS
-        idx = 0
-        while _AREA_CUMSUM[idx] <= r:
-            idx += 1
-        h, w = _CATALOG_ORDERED[idx]
-        m = r - (_AREA_CUMSUM[idx - 1] if idx else 0)
-        return f, h, w, m
+        actions = _action_table(parent.h, parent.w)[0]
+        start = (state.f_floor + 1) * _TOTAL_ANCHORS
+        pick = int(rng.integers(0, len(actions) - start + 1))
+        return actions[start + pick] if start + pick < len(actions) else None
 
 
 class GreedyGeometryPolicy(Policy):
@@ -263,21 +264,16 @@ class GreedyGeometryPolicy(Policy):
     newly occupied non-target cell, then samples via softmax; at temperature
     zero it takes the argmax (EOP first on ties, then lexicographic tuple).
 
-    Candidates are pre-filtered for bounds and collision so a deterministic
-    argmax never stalls on an invalid proposal; the harness still validates.
+    A step scores every candidate at once: the rows of the parent's action
+    table from f = f_floor + 1 on that lie in the workspace and cover no
+    occupied cell, counted from 2-D summed-area tables of the layers z - 1
+    and z + 1, so a deterministic argmax never stalls on an invalid proposal
+    (the harness still validates).  Covered cells come from the target's.
     """
 
     def __init__(self, temperature: float = 0.0, overflow_penalty: float = 2.0):
         self.temperature = temperature
         self.overflow_penalty = overflow_penalty
-
-    def _score(self, target: VoxelGrid, occupancy, brick: Brick) -> float:
-        block_t = target.occupancy[brick.x:brick.x + brick.h, brick.y:brick.y + brick.w, brick.z]
-        block_o = occupancy[brick.x:brick.x + brick.h, brick.y:brick.y + brick.w, brick.z]
-        fresh = ~block_o
-        covered = int((block_t & fresh).sum())
-        overflow = int((~block_t & fresh).sum())
-        return covered - self.overflow_penalty * overflow
 
     def _choose(self, actions: list[tuple], scores: list[float], rng):
         """actions[0] is EOP when present; ties at temperature zero prefer it."""
@@ -300,14 +296,13 @@ class GreedyGeometryPolicy(Policy):
         z0 = int(zs.min())
         at_floor = occupied[zs == z0]
         y0, x0 = min((int(c[1]), int(c[0])) for c in at_floor)
-        empty = np.zeros_like(target.occupancy)
         actions, scores = [], []
         for h, w in _CATALOG_ORDERED:
             for x in range(max(0, x0 - h + 1), min(x0, GRID - h) + 1):
                 for y in range(max(0, y0 - w + 1), min(y0, GRID - w) + 1):
-                    brick = Brick(h, w, x, y, z0)
+                    covered = int(target.occupancy[x:x + h, y:y + w, z0].sum())
                     actions.append((x, y, z0, h, w))
-                    scores.append(self._score(target, empty, brick))
+                    scores.append(covered - self.overflow_penalty * (h * w - covered))
         if self.temperature <= 0.0:
             best = max(scores)
             return min(a for a, s in zip(actions, scores) if s == best)
@@ -315,17 +310,24 @@ class GreedyGeometryPolicy(Policy):
 
     def propose(self, target, state, rng):
         parent = state.current_parent()
-        actions: list[tuple | None] = [None]
-        scores: list[float] = [0.0]
-        for f in range(state.f_floor + 1, 2 * parent.h * parent.w):
-            for h, w in _CATALOG_ORDERED:
-                for m in range(h * w):
-                    brick, reason = validate_tuple(state, f, h, w, m)
-                    if brick is None:
-                        continue
-                    actions.append((f, h, w, m))
-                    scores.append(self._score(target, state.occupancy, brick))
-        return self._choose(actions, scores, rng)
+        actions, _, table = _action_table(parent.h, parent.w)
+        start = (state.f_floor + 1) * _TOTAL_ANCHORS
+        placed = table[start:] + (parent.x, parent.y, parent.z, 0, 0)  # x, y, z, h, w
+        x, y, z, h, w = placed.T
+        inside = np.flatnonzero((x >= 0) & (x + h <= GRID) & (y >= 0) & (y + w <= GRID)
+                                & (z >= 0) & (z < GRID))
+        x, y, z, h, w = placed[inside].T
+        layers = [k for k in (parent.z - 1, parent.z + 1) if 0 <= k < GRID]
+        sat = np.zeros((2, GRID + 1, GRID + 1, GRID), dtype=np.int64)  # occupancy, target
+        grids = np.stack([state.occupancy[..., layers], target.occupancy[..., layers]])
+        sat[:, 1:, 1:, layers] = grids.cumsum(1).cumsum(2)
+        box = sat[:, x + h, y + w, z] - sat[:, x, y + w, z] - sat[:, x + h, y, z] + sat[:, x, y, z]
+        free = box[0] == 0
+        covered = box[1, free]
+        scores = covered - self.overflow_penalty * ((h * w)[free] - covered)
+        rows = (start + inside[free]).tolist()
+        return self._choose([None] + [actions[i] for i in rows],
+                            [0.0] + scores.tolist(), rng)
 
 
 class ScriptedPolicy(Policy):

@@ -103,11 +103,20 @@ class VoxelGrid:
 
     @staticmethod
     def from_dict(data: dict) -> "VoxelGrid":
-        if tuple(data.get("shape", (GRID, GRID, GRID))) != (GRID, GRID, GRID):
-            raise ValueError("grid shape must be 20x20x20")
+        """Inverse of :meth:`to_dict`; raises MalformedInputError on any other
+        layout and on a cell outside the grid."""
+        try:
+            shape = list(data.get("shape", [GRID] * 3))
+            cells = [list(cell) for cell in data["occupied"]]
+        except (AttributeError, KeyError, TypeError) as err:
+            raise MalformedInputError(f"grid needs a shape and an occupied cell list ({err!r})")
+        if shape != [GRID] * 3:
+            raise MalformedInputError(f"grid shape must be {[GRID] * 3}, got {shape}")
         occ = np.zeros((GRID, GRID, GRID), dtype=bool)
-        for x, y, z in data["occupied"]:
-            occ[int(x), int(y), int(z)] = True
+        for cell in cells:
+            if len(cell) != 3 or not all(type(v) is int and 0 <= v < GRID for v in cell):
+                raise MalformedInputError(f"occupied cell {cell} is not in the {GRID}^3 grid")
+            occ[tuple(cell)] = True
         return VoxelGrid(occ, "file")
 
 
@@ -361,12 +370,3 @@ def chamfer(p: PointCloud, q: PointCloud) -> float:
     d_pq = cKDTree(q.points).query(p.points)[0]
     d_qp = cKDTree(p.points).query(q.points)[0]
     return float(d_pq.mean() + d_qp.mean())
-
-
-def chamfer_bruteforce(p: PointCloud, q: PointCloud) -> float:
-    """O(n^2) reference implementation used as the oracle in tests."""
-    if len(p) == 0 or len(q) == 0:
-        raise EmptyCloudError("chamfer distance needs two nonempty clouds")
-    diff = p.points[:, None, :] - q.points[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=2))
-    return float(dist.min(axis=1).mean() + dist.min(axis=0).mean())

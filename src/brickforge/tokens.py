@@ -36,34 +36,28 @@ class Token:
         return self.kind if self.value is None else f"{self.kind}({self.value})"
 
 
-BOS = Token(KIND_BOS)
-EOS = Token(KIND_EOS)
-PAD = Token(KIND_PAD)
-EOP = Token(KIND_EOP)
-
-
 def coord(v: int) -> Token:
     if not 0 <= v < GRID:
         raise MalformedSequenceError(f"coordinate {v} outside [0,{GRID})")
-    return Token(KIND_COORD, v)
+    return _TOKEN_BY_ID[_COORD_BASE + v]
 
 
 def size(v: int) -> Token:
     if v not in _SIZE_INDEX:
         raise MalformedSequenceError(f"size {v} not in {SIZE_VALUES}")
-    return Token(KIND_SIZE, v)
+    return _TOKEN_BY_ID[_SIZE_BASE + _SIZE_INDEX[v]]
 
 
 def f_token(v: int) -> Token:
     if not 0 <= v < F_RANGE:
         raise MalformedSequenceError(f"f {v} outside [0,{F_RANGE})")
-    return Token(KIND_F, v)
+    return _TOKEN_BY_ID[_F_BASE + v]
 
 
 def m_token(v: int) -> Token:
     if not 0 <= v < M_RANGE:
         raise MalformedSequenceError(f"m {v} outside [0,{M_RANGE})")
-    return Token(KIND_M, v)
+    return _TOKEN_BY_ID[_M_BASE + v]
 
 
 _SPECIALS = {KIND_BOS: 0, KIND_EOS: 1, KIND_PAD: 2, KIND_EOP: 3}
@@ -128,10 +122,11 @@ def baseline_codebook() -> list[CodebookEntry]:
 
 
 _TOKEN_BY_ID = tuple(Token(e.kind, e.value) for e in codebook())
+BOS, EOS, PAD, EOP = _TOKEN_BY_ID[:4]
 
 # Every canonical text field (``X5``, ``H2``, ``F17``, ``EOP``, ...) and its
 # token; ``TokenSequence.from_text`` parses only the fields missing here.
-_TOKEN_BY_TEXT = {kind: Token(kind) for kind in _SPECIALS}
+_TOKEN_BY_TEXT = {kind: _TOKEN_BY_ID[sid] for kind, sid in _SPECIALS.items()}
 _TOKEN_BY_TEXT.update({f"{label}{v}": coord(v) for label in "XYZC" for v in range(GRID)})
 _TOKEN_BY_TEXT.update({f"{label}{v}": size(v) for label in "HWS" for v in SIZE_VALUES})
 _TOKEN_BY_TEXT.update({f"F{v}": f_token(v) for v in range(F_RANGE)})

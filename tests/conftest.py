@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 
 import numpy as np
@@ -9,8 +10,17 @@ import pytest
 
 from brickforge.attach import decode_attachment
 from brickforge.bricks import CATALOG_SIZES, GRID, Brick, BrickAssembly, attached
-from brickforge.errors import CollisionError
-from brickforge.geometry import SurfaceMesh, VoxelGrid
+from brickforge.decode import (
+    REJECT_ANCHOR,
+    REJECT_BOUNDS,
+    REJECT_COLLISION,
+    REJECT_CONNECTOR,
+    REJECT_NON_MONOTONE,
+    REJECT_SIZE,
+    DecodeState,
+)
+from brickforge.errors import BrickforgeError, CollisionError, EmptyCloudError, EmptyTargetError
+from brickforge.geometry import PointCloud, SurfaceMesh, VoxelGrid
 from brickforge.tokens import KIND_EOP
 
 CATALOG = sorted(CATALOG_SIZES)
@@ -274,6 +284,120 @@ def expected_rollback_fingerprint(sequence, scores) -> tuple:
             break
         idx += 4
     return replay_reference(tokens[:idx])
+
+
+def chamfer_bruteforce(p: PointCloud, q: PointCloud) -> float:
+    """O(n^2) reference implementation used as the oracle in tests."""
+    if len(p) == 0 or len(q) == 0:
+        raise EmptyCloudError("chamfer distance needs two nonempty clouds")
+    diff = p.points[:, None, :] - q.points[None, :, :]
+    dist = np.sqrt((diff ** 2).sum(axis=2))
+    return float(dist.min(axis=1).mean() + dist.min(axis=0).mean())
+
+
+# The per-candidate decoder enumerations, kept as oracles for the action
+# table: ``validate_tuple``, ``UniformLegalPolicy.propose`` and the
+# ``GreedyGeometryPolicy`` root and child proposals.  The policy functions
+# take the policy as ``self``, so tests can patch them onto the classes.
+_CATALOG_ORDERED = tuple(sorted(CATALOG_SIZES))
+_AREA_CUMSUM = tuple(itertools.accumulate(h * w for h, w in _CATALOG_ORDERED))
+_TOTAL_ANCHORS = _AREA_CUMSUM[-1]  # 85 anchors over the 14 rotated footprints
+
+
+def validate_tuple_reference(state: DecodeState, f: int, h: int, w: int, m: int):
+    """Two-stage tuple check against the current parent and partial assembly.
+
+    Returns (brick, None) on acceptance or (None, reason) on rejection.
+    """
+    if state.current is None:
+        return None, REJECT_CONNECTOR
+    parent = state.current_parent()
+    limit = 2 * parent.h * parent.w
+    if not 0 <= f < limit:
+        return None, REJECT_CONNECTOR
+    if (h, w) not in CATALOG_SIZES:
+        return None, REJECT_SIZE
+    if not 0 <= m < h * w:
+        return None, REJECT_ANCHOR
+    if f <= state.f_floor:
+        return None, REJECT_NON_MONOTONE
+    try:
+        brick = decode_attachment(f, m, parent, (h, w))
+    except BrickforgeError:
+        return None, REJECT_BOUNDS
+    block = state.occupancy[brick.x:brick.x + brick.h, brick.y:brick.y + brick.w, brick.z]
+    if block.any():
+        return None, REJECT_COLLISION
+    return brick, None
+
+
+def uniform_propose_reference(self, target, state, rng):
+    parent = state.current_parent()
+    n_f = 2 * parent.h * parent.w - 1 - state.f_floor
+    n_tuples = n_f * _TOTAL_ANCHORS
+    pick = int(rng.integers(0, n_tuples + 1))
+    if pick == n_tuples:
+        return None
+    f = state.f_floor + 1 + pick // _TOTAL_ANCHORS
+    r = pick % _TOTAL_ANCHORS
+    idx = 0
+    while _AREA_CUMSUM[idx] <= r:
+        idx += 1
+    h, w = _CATALOG_ORDERED[idx]
+    m = r - (_AREA_CUMSUM[idx - 1] if idx else 0)
+    return f, h, w, m
+
+
+def greedy_score_reference(self, target: VoxelGrid, occupancy, brick: Brick) -> float:
+    block_t = target.occupancy[brick.x:brick.x + brick.h, brick.y:brick.y + brick.w, brick.z]
+    block_o = occupancy[brick.x:brick.x + brick.h, brick.y:brick.y + brick.w, brick.z]
+    fresh = ~block_o
+    covered = int((block_t & fresh).sum())
+    overflow = int((~block_t & fresh).sum())
+    return covered - self.overflow_penalty * overflow
+
+
+def greedy_propose_root_reference(self, target, rng):
+    occupied = np.argwhere(target.occupancy)
+    if len(occupied) == 0:
+        raise EmptyTargetError("target grid has no occupied cells")
+    zs = occupied[:, 2]
+    z0 = int(zs.min())
+    at_floor = occupied[zs == z0]
+    y0, x0 = min((int(c[1]), int(c[0])) for c in at_floor)
+    empty = np.zeros_like(target.occupancy)
+    actions, scores = [], []
+    for h, w in _CATALOG_ORDERED:
+        for x in range(max(0, x0 - h + 1), min(x0, GRID - h) + 1):
+            for y in range(max(0, y0 - w + 1), min(y0, GRID - w) + 1):
+                brick = Brick(h, w, x, y, z0)
+                actions.append((x, y, z0, h, w))
+                scores.append(greedy_score_reference(self, target, empty, brick))
+    if self.temperature <= 0.0:
+        best = max(scores)
+        return min(a for a, s in zip(actions, scores) if s == best)
+    return self._choose(actions, scores, rng)
+
+
+def greedy_candidates_reference(self, target, state):
+    """The (actions, scores) lists the per-candidate greedy ``propose``
+    hands to ``_choose``."""
+    parent = state.current_parent()
+    actions: list[tuple | None] = [None]
+    scores: list[float] = [0.0]
+    for f in range(state.f_floor + 1, 2 * parent.h * parent.w):
+        for h, w in _CATALOG_ORDERED:
+            for m in range(h * w):
+                brick, reason = validate_tuple_reference(state, f, h, w, m)
+                if brick is None:
+                    continue
+                actions.append((f, h, w, m))
+                scores.append(greedy_score_reference(self, target, state.occupancy, brick))
+    return actions, scores
+
+
+def greedy_propose_reference(self, target, state, rng):
+    return self._choose(*greedy_candidates_reference(self, target, state), rng)
 
 
 def mesh_edge_census(mesh) -> dict:

@@ -25,7 +25,6 @@ from brickforge.geometry import (
     PointCloud,
     VoxelGrid,
     chamfer,
-    chamfer_bruteforce,
     extract_surface,
     iou,
     voxelize_assembly,
@@ -38,6 +37,7 @@ from brickforge.tokens import TokenSequence, baseline_codebook, codebook
 from conftest import (
     CATALOG,
     assert_watertight,
+    chamfer_bruteforce,
     euler_characteristic,
     expected_rollback_fingerprint,
     grow_random_assembly,

@@ -15,7 +15,6 @@ from brickforge.geometry import (
     SurfaceMesh,
     VoxelGrid,
     chamfer,
-    chamfer_bruteforce,
     extract_surface,
     iou,
     normalize_cloud,
@@ -24,7 +23,12 @@ from brickforge.geometry import (
     voxelize_points,
 )
 
-from conftest import assert_watertight, euler_characteristic, grow_random_assembly
+from conftest import (
+    assert_watertight,
+    chamfer_bruteforce,
+    euler_characteristic,
+    grow_random_assembly,
+)
 
 
 def sphere_cloud(n=20000, seed=5):

@@ -239,6 +239,53 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert json.loads(proc.stderr)["error"] == "malformed_input"
 
+    @pytest.mark.parametrize("text, detail", [
+        ('{"shape": [20, 20, 20], "occupied": [[-1, 0, 0]]}',
+         "occupied cell [-1, 0, 0] is not in the 20^3 grid"),
+        ('{"shape": [20, 20, 20], "occupied": [[25, 0, 0]]}',
+         "occupied cell [25, 0, 0] is not in the 20^3 grid"),
+        ('{"shape": [20, 20, 20]}',
+         "grid needs a shape and an occupied cell list (KeyError('occupied'))"),
+        ('{"shape": [10, 10, 10], "occupied": [[0, 0, 0]]}',
+         "grid shape must be [20, 20, 20], got [10, 10, 10]"),
+        ('{"occupied": [[0, 0]]}', "occupied cell [0, 0] is not in the 20^3 grid"),
+        ('{"occupied": [[0, "1", 0]]}', "occupied cell [0, '1', 0] is not in the 20^3 grid"),
+        ('{"occupied": [[1.5, 0, 0]]}', "occupied cell [1.5, 0, 0] is not in the 20^3 grid"),
+        ('{"occupied": 7}', "grid needs a shape and an occupied cell list "
+                            "(TypeError(\"'int' object is not iterable\"))"),
+        ('[[0, 0, 0]]', "grid needs a shape and an occupied cell list "
+                        "(AttributeError(\"'list' object has no attribute 'get'\"))"),
+    ])
+    def test_malformed_grid_envelope(self, text, detail, tmp_path, capsys):
+        grid = tmp_path / "bad.json"
+        grid.write_text(text)
+        assert main(["generate", "--target", str(grid)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert json.loads(captured.err) == {"error": "malformed_input", "detail": detail}
+
+    @pytest.mark.parametrize("text", ['{"shape": [20, 20, 20]}', '{"occupied": [[0, 0, 0]'])
+    def test_malformed_grid_exits_1_from_a_fresh_process(self, text, tmp_path):
+        grid = tmp_path / "bad.json"
+        grid.write_text(text)
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "brickforge.cli", "generate", "--target", str(grid)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stderr)["error"] == "malformed_input"
+
+    def test_grid_json_target_round_trips(self, tmp_path, capsys):
+        cells = [[4, 7, z] for z in range(3)]
+        grid = tmp_path / "column.json"
+        grid.write_text(json.dumps({"shape": [20, 20, 20], "occupied": cells}))
+        assert main(["generate", "--target", str(grid)]) == 0
+        bricks = json.loads(capsys.readouterr().out)["bricks"]
+        assert sorted([b["x"], b["y"], b["z"]] for b in bricks) == cells
+
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

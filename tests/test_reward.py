@@ -7,7 +7,6 @@ from brickforge.bricks import Brick, BrickAssembly
 from brickforge.errors import NonFiniteInputError
 from brickforge.geometry import (
     PointCloud,
-    chamfer_bruteforce,
     extract_surface,
     iou,
     normalize_cloud,
@@ -26,6 +25,8 @@ from brickforge.reward import (
 )
 from brickforge.stability import stability_scores
 from brickforge.tokens import TokenSequence
+
+from conftest import chamfer_bruteforce
 
 
 def column_assembly():

@@ -18,11 +18,19 @@ from brickforge.tokenizer import (
     tokenize,
 )
 from brickforge.tokens import (
+    BOS,
     CODEBOOK_SIZE,
+    EOP,
+    EOS,
+    PAD,
     Token,
     TokenSequence,
     baseline_codebook,
     codebook,
+    coord,
+    f_token,
+    m_token,
+    size,
     token_from_id,
     token_to_id,
 )
@@ -122,6 +130,36 @@ class TestCodebook:
         assert every.ids() == list(range(CODEBOOK_SIZE))
         assert TokenSequence.from_text(every.to_text()) == every
         assert TokenSequence.from_binary(every.to_binary()) == every
+
+    def test_constructors_return_the_codebook_instances(self):
+        made = ([BOS, EOS, PAD, EOP] + [coord(v) for v in range(20)]
+                + [size(v) for v in (1, 2, 4, 6, 8)] + [f_token(v) for v in range(24)]
+                + [m_token(v) for v in range(12)])
+        assert len(made) == CODEBOOK_SIZE
+        for tid, tok in enumerate(made):
+            assert tok is token_from_id(tid)
+
+    def test_parsed_tokens_are_the_codebook_instances(self, rng):
+        seq = tokenize(grow_random_assembly(rng, 40))
+        for parsed in (TokenSequence.from_text(seq.to_text()),
+                       TokenSequence.from_binary(seq.to_binary())):
+            assert parsed == seq
+            assert all(t is token_from_id(tid) for t, tid in zip(parsed, seq.ids()))
+
+    @pytest.mark.parametrize("make, value, message", [
+        (coord, -1, "coordinate -1 outside [0,20)"),
+        (coord, 20, "coordinate 20 outside [0,20)"),
+        (size, 0, "size 0 not in (1, 2, 4, 6, 8)"),
+        (f_token, -1, "f -1 outside [0,24)"),
+        (f_token, 24, "f 24 outside [0,24)"),
+        (m_token, -1, "m -1 outside [0,12)"),
+        (m_token, 12, "m 12 outside [0,12)"),
+    ])
+    def test_constructor_range_checks(self, make, value, message):
+        # negative values must not wrap around the codebook table
+        with pytest.raises(MalformedSequenceError) as err:
+            make(value)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("tid", [-1, CODEBOOK_SIZE, 255])
     def test_id_out_of_range(self, tid):
@@ -277,6 +315,12 @@ class TestWireFormats:
         a = grow_random_assembly(rng, 20)
         seq = tokenize(a)
         assert TokenSequence.from_binary(seq.to_binary()) == seq
+
+    def test_wire_forms_of_a_fixed_assembly(self):
+        seq = tokenize(BrickAssembly((Brick(2, 4, 3, 5, 0), Brick(1, 2, 3, 5, 1),
+                                      Brick(2, 2, 4, 7, 1))))
+        assert seq.to_text() == "BOS X3 Y5 Z0 H2 W4 F0 H1 W2 M0 F5 H2 W2 M0 EOS"
+        assert seq.to_binary().hex() == "0f00000000070904191a1d1819352219193501"
 
     def test_binary_is_length_prefixed_u8(self):
         seq = tokenize(BrickAssembly((Brick(1, 1, 0, 0, 0),)))
