@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CollisionError, OutOfBoundsError, SizeNotInLibraryError
+from .errors import CollisionError, MalformedInputError, OutOfBoundsError, SizeNotInLibraryError
 
 GRID = 20
 
@@ -59,7 +59,12 @@ class Brick:
 
     @staticmethod
     def from_dict(d: dict) -> "Brick":
-        return Brick(int(d["h"]), int(d["w"]), int(d["x"]), int(d["y"]), int(d["z"]))
+        """Inverse of :meth:`to_dict`; every field must be an int (not a bool,
+        a float or a string), or MalformedInputError is raised."""
+        values = [d.get(k) for k in "hwxyz"] if isinstance(d, dict) else [None]
+        if not all(type(v) is int for v in values):
+            raise MalformedInputError(f"brick {d!r} needs int fields h, w, x, y, z")
+        return Brick(*values)
 
 
 def footprint(brick: Brick) -> set[tuple[int, int]]:
@@ -135,7 +140,14 @@ class BrickAssembly:
 
     @staticmethod
     def from_json(text: str) -> "BrickAssembly":
-        data = json.loads(text)
+        """Inverse of :meth:`to_json`; raises MalformedInputError on invalid
+        JSON and on any other layout."""
+        try:
+            data = json.loads(text)
+        except ValueError as err:
+            raise MalformedInputError(f"assembly is not JSON: {err}") from None
+        if not isinstance(data, dict) or not isinstance(data.get("bricks"), list):
+            raise MalformedInputError('assembly JSON needs a "bricks" list')
         return BrickAssembly(tuple(Brick.from_dict(d) for d in data["bricks"]))
 
 

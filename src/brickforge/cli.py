@@ -36,21 +36,38 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
+def _read(path: str, as_json: bool = False):
+    """The text of an input file, or its JSON value.  Undecodable bytes and
+    invalid JSON raise MalformedInputError, so no loader leaks a traceback."""
+    try:
+        text = Path(path).read_text()
+        return json.loads(text) if as_json else text
+    except ValueError as err:  # UnicodeDecodeError, JSONDecodeError
+        raise MalformedInputError(f"{path} is not {'JSON' if as_json else 'text'}: {err}") from None
+
+
 def _load_assembly(path: str) -> BrickAssembly:
-    return BrickAssembly.from_json(Path(path).read_text())
+    return BrickAssembly.from_json(_read(path))
 
 
 def _load_sequence(path: str) -> TokenSequence:
-    return TokenSequence.from_text(Path(path).read_text())
+    return TokenSequence.from_text(_read(path))
 
 
 def _load_target_grid(path: str, solid_fill: bool) -> VoxelGrid:
     if path.endswith(".json"):
-        try:
-            return VoxelGrid.from_dict(json.loads(Path(path).read_text()))
-        except ValueError as err:  # undecodable bytes or invalid JSON
-            raise MalformedInputError(f"grid file is not JSON: {err}") from None
-    return voxelize_points(PointCloud.from_text(Path(path).read_text()), solid_fill)
+        return VoxelGrid.from_dict(_read(path, as_json=True))
+    return voxelize_points(PointCloud.from_text(_read(path)), solid_fill)
+
+
+def _scored(args):
+    """(path, assembly, reward breakdown) per candidate, scored against --target."""
+    target = PointCloud.from_text(_read(args.target))
+    params = _physics(args)
+    for path in args.candidates:
+        assembly = _load_assembly(path)
+        yield path, assembly, total_reward(target, assembly, params, samples=args.samples,
+                                           seed=args.seed, solid_fill=not args.no_solid_fill)
 
 
 def _physics(args) -> PhysicsParams:
@@ -111,27 +128,13 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    target = PointCloud.from_text(Path(args.target).read_text())
-    params = _physics(args)
-    for path in args.candidates:
-        breakdown = total_reward(target, _load_assembly(path), params,
-                                 samples=args.samples, seed=args.seed,
-                                 solid_fill=not args.no_solid_fill)
-        record = {"candidate": path}
-        record.update(breakdown.to_dict())
-        sys.stdout.write(json.dumps(record) + "\n")
+    for path, _, breakdown in _scored(args):
+        sys.stdout.write(json.dumps({"candidate": path, **breakdown.to_dict()}) + "\n")
     return 0
 
 
 def _cmd_prefpairs(args) -> int:
-    target = PointCloud.from_text(Path(args.target).read_text())
-    params = _physics(args)
-    scored = []
-    for path in args.candidates:
-        assembly = _load_assembly(path)
-        breakdown = total_reward(target, assembly, params, samples=args.samples,
-                                 seed=args.seed, solid_fill=not args.no_solid_fill)
-        scored.append((tokenize(assembly), breakdown))
+    scored = [(tokenize(assembly), breakdown) for _, assembly, breakdown in _scored(args)]
     condition = args.condition or args.target
     for pair in build_preference_pairs(scored, gap_min=args.gap_min,
                                        floor=args.floor, condition=condition):
@@ -164,7 +167,7 @@ def _cmd_export_ldraw(args) -> int:
 
 
 def _cmd_voxelize(args) -> int:
-    cloud = PointCloud.from_text(Path(args.input).read_text())
+    cloud = PointCloud.from_text(_read(args.input))
     grid = voxelize_points(cloud, solid_fill=not args.no_solid_fill)
     _emit(json.dumps(grid.to_dict(), indent=2) + "\n", args.output)
     return 0

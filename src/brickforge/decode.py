@@ -22,12 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attach import decode_attachment
-from .bricks import (
-    CATALOG_SIZES,
-    GRID,
-    Brick,
-    BrickAssembly,
-)
+from .bricks import CATALOG_SIZES, GRID, Brick, BrickAssembly
 from .errors import (
     BrickforgeError,
     BudgetExhaustedError,

@@ -6,8 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
-from scipy.spatial import cKDTree
 
 from .bricks import GRID, BrickAssembly
 from .errors import (
@@ -181,8 +179,24 @@ def voxelize_points(cloud: PointCloud, solid_fill: bool = True) -> VoxelGrid:
     occ = np.zeros((GRID, GRID, GRID), dtype=bool)
     occ[cells[:, 0], cells[:, 1], cells[:, 2]] = True
     if solid_fill:
-        occ = ndimage.binary_fill_holes(occ)
+        occ = _fill_holes(occ)
     return VoxelGrid(occ, "from-points")
+
+
+def _fill_holes(occ: np.ndarray) -> np.ndarray:
+    """``occ`` plus every empty cell with no 6-connected path of empty cells
+    to a face of the grid, as ``ndimage.binary_fill_holes`` computes it."""
+    face = np.ones(occ.shape, dtype=bool)
+    face[1:-1, 1:-1, 1:-1] = False
+    hidden = np.pad(~occ, 1).ravel()  # empty cells not yet reached from a face
+    frontier = np.flatnonzero(np.pad(face & ~occ, 1))
+    steps = np.outer([1, -1], _strides(np.add(occ.shape, 2))).ravel()
+    while frontier.size:  # the zero padding keeps every step inside the grid
+        hidden[frontier] = False
+        near = np.zeros_like(hidden)  # a mask, not an index list, so no cell repeats
+        near[(frontier[:, None] + steps).ravel()] = True
+        frontier = np.flatnonzero(near & hidden)
+    return occ | hidden.reshape(np.add(occ.shape, 2))[1:-1, 1:-1, 1:-1]
 
 
 def voxelize_assembly(assembly: BrickAssembly) -> VoxelGrid:
@@ -367,6 +381,7 @@ def chamfer(p: PointCloud, q: PointCloud) -> float:
     """Symmetric mean nearest-neighbor L2 distance (unsquared terms)."""
     if len(p) == 0 or len(q) == 0:
         raise EmptyCloudError("chamfer distance needs two nonempty clouds")
+    from scipy.spatial import cKDTree  # here, so importing the package skips scipy
     d_pq = cKDTree(q.points).query(p.points)[0]
     d_qp = cKDTree(p.points).query(q.points)[0]
     return float(d_pq.mean() + d_qp.mean())

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .bricks import BrickAssembly, footprints_overlap
 from .bricks import connected_components
@@ -160,18 +159,15 @@ def assemble_equilibrium_program(assembly: BrickAssembly, params: PhysicsParams,
     # tension bound: -phi <= t * capacity for every contact
     A_ub = np.zeros((n_c, n_vars))
     b_ub = np.zeros(n_c)
-    for ci in range(n_c):
-        A_ub[ci, ci] = -1.0
-        A_ub[ci, t_var] = -params.clutch_tension_capacity
+    A_ub[np.arange(n_c), np.arange(n_c)] = -1.0
+    A_ub[:, t_var] = -params.clutch_tension_capacity
 
     c = np.zeros(n_vars)
     c[slack0:slack0 + 6 * n_b] = params.slack_penalty
     c[t_var] = 1.0
 
-    bounds: list[tuple[float | None, float | None]] = [(None, None)] * n_c
-    bounds += [(0.0, None)] * n_g
-    bounds += [(0.0, None)] * (6 * n_b)
-    bounds += [(0.0, None)]
+    # contact forces are free; ground forces, slacks and t are nonnegative
+    bounds = [(None, None)] * n_c + [(0.0, None)] * (n_g + 6 * n_b + 1)
 
     return EquilibriumProgram(indices=indices, contacts=contacts, grounds=grounds,
                               c=c, A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub,
@@ -212,6 +208,13 @@ _SOLVER_OPTIONS = {
     "primal_feasibility_tolerance": 1e-9,
     "dual_feasibility_tolerance": 1e-9,
 }
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first solve so that
+    importing the package skips scipy.  ``_solve`` calls it by this name."""
+    from scipy.optimize import linprog as scipy_linprog
+    return scipy_linprog(*args, **kwargs)
 
 
 def _solve(program: EquilibriumProgram, options: dict):

@@ -6,8 +6,11 @@ from pathlib import Path
 
 import numpy as np
 
+from brickforge import stability
 from brickforge.decode import GreedyGeometryPolicy, generate
 from brickforge.geometry import VoxelGrid
+
+from conftest import grow_random_assembly
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -27,10 +30,16 @@ def test_traced_column_generate_counts_and_restores():
         wrapped = [(owner, attr, original, vars(owner)[attr])
                    for owner, attr, original in tracer._saved]
         result = generate(GreedyGeometryPolicy(0.0), VoxelGrid(occ), seed=0)
+        column = tracer.layer_metrics(1)
+        # the column's LP is solved in presolve (0 iterations); this one is not
+        stability.stability_scores(grow_random_assembly(np.random.default_rng(0), 20))
     assert len(result.assembly) == 3
-    metrics = tracer.layer_metrics(1)
-    assert metrics["decode.propose.calls"] > 0
-    assert metrics["decode.validate_tuple.calls"] > 0
+    assert column["decode.propose.calls"] > 0
+    assert column["decode.validate_tuple.calls"] > 0
+    # scipy's linprog is imported lazily; every solve must still pass
+    # through the module-level name the tracer wraps
+    assert column["stability.linprog.calls"] > 0
+    assert tracer.layer_metrics(1)["stability.linprog.nit"] > 0
     assert wrapped and not tracer._saved
     for owner, attr, original, wrapper in wrapped:
         assert wrapper is not original

@@ -16,6 +16,7 @@ from brickforge.bricks import (
 from brickforge.errors import (
     CollisionError,
     DisconnectedGraphError,
+    MalformedInputError,
     OutOfBoundsError,
     SizeNotInLibraryError,
 )
@@ -204,6 +205,48 @@ def test_root_is_lexicographic_min():
 def test_assembly_json_roundtrip(rng):
     a = grow_random_assembly(rng, 15)
     assert BrickAssembly.from_json(a.to_json()) == a
+
+
+@pytest.mark.parametrize("fields", [
+    {"h": 1},
+    {"h": 1, "w": 1, "x": 0, "y": 0},
+    {"h": 1, "w": 1, "x": 0, "y": 0, "z": "0"},
+    {"h": 1, "w": 1, "x": 0, "y": 0, "z": 1.5},
+    {"h": 1, "w": 1, "x": 0, "y": 0, "z": 0.0},
+    {"h": True, "w": 1, "x": 0, "y": 0, "z": 0},
+    {"h": 1, "w": 1, "x": 0, "y": 0, "z": None},
+    [1, 1, 0, 0, 0],
+    "h1w1",
+    7,
+])
+def test_brick_from_dict_needs_int_fields(fields):
+    with pytest.raises(MalformedInputError, match="needs int fields h, w, x, y, z"):
+        Brick.from_dict(fields)
+
+
+def test_brick_from_dict_keeps_domain_errors():
+    assert Brick.from_dict({"h": 2, "w": 4, "x": 1, "y": 2, "z": 3, "extra": 0}) \
+        == Brick(2, 4, 1, 2, 3)
+    with pytest.raises(OutOfBoundsError):
+        Brick.from_dict({"h": 1, "w": 1, "x": 0, "y": 0, "z": 20})
+    with pytest.raises(SizeNotInLibraryError):
+        Brick.from_dict({"h": 3, "w": 3, "x": 0, "y": 0, "z": 0})
+
+
+@pytest.mark.parametrize("text, detail", [
+    ('{"bricks": [', "assembly is not JSON"),
+    ("", "assembly is not JSON"),
+    ("NaN", 'assembly JSON needs a "bricks" list'),
+    ("[]", 'assembly JSON needs a "bricks" list'),
+    ("{}", 'assembly JSON needs a "bricks" list'),
+    ('{"bricks": 5}', 'assembly JSON needs a "bricks" list'),
+    ('{"bricks": {"h": 1}}', 'assembly JSON needs a "bricks" list'),
+    ('{"bricks": [{"h": 1}]}', "needs int fields"),
+    ('{"bricks": ["h"]}', "needs int fields"),
+])
+def test_assembly_from_json_raises_malformed_input(text, detail):
+    with pytest.raises(MalformedInputError, match=detail):
+        BrickAssembly.from_json(text)
 
 
 def test_rotated_sizes_catalog():

@@ -286,6 +286,56 @@ class TestCli:
         bricks = json.loads(capsys.readouterr().out)["bricks"]
         assert sorted([b["x"], b["y"], b["z"]] for b in bricks) == cells
 
+    @pytest.mark.parametrize("command", ["validate", "tokenize", "score"])
+    @pytest.mark.parametrize("text, detail", [
+        ('{"bricks": [{"h": 1}]}', "brick {'h': 1} needs int fields h, w, x, y, z"),
+        ('{"bricks": [{"h": 1, "w": 1, "x": 0, "y": 0, "z": "0"}]}',
+         "brick {'h': 1, 'w': 1, 'x': 0, 'y': 0, 'z': '0'} needs int fields h, w, x, y, z"),
+        ('{"bricks": [{"h": 1, "w": 1, "x": 0, "y": 0, "z": 1.5}]}',
+         "brick {'h': 1, 'w': 1, 'x': 0, 'y': 0, 'z': 1.5} needs int fields h, w, x, y, z"),
+        ('{"bricks": [{"h": 1, "w": true, "x": 0, "y": 0, "z": 0}]}',
+         "brick {'h': 1, 'w': True, 'x': 0, 'y': 0, 'z': 0} needs int fields h, w, x, y, z"),
+        ('{"bricks": [', "assembly is not JSON: Expecting value: line 1 column 13 (char 12)"),
+        ("[]", 'assembly JSON needs a "bricks" list'),
+        ('{"bricks": 3}', 'assembly JSON needs a "bricks" list'),
+    ])
+    def test_malformed_assembly_envelope(self, command, text, detail, cloud_file,
+                                         tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        argv = ([command, str(bad)] if command != "score"
+                else ["score", "--target", str(cloud_file), str(bad)])
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert json.loads(captured.err) == {"error": "malformed_input", "detail": detail}
+
+    @pytest.mark.parametrize("loader, suffix, argv", [
+        ("assembly", ".json", ["tokenize", "{bad}"]),
+        ("sequence", ".tok", ["detokenize", "{bad}"]),
+        ("sequence", ".tok", ["stats", "{bad}"]),
+        ("cloud", ".xyz", ["score", "--target", "{bad}", "{assembly}"]),
+        ("grid", ".json", ["generate", "--target", "{bad}"]),
+        ("grid", ".xyz", ["generate", "--target", "{bad}"]),
+    ])
+    def test_undecodable_bytes_exit_1_from_a_fresh_process(self, loader, suffix, argv,
+                                                           assembly_file, tmp_path):
+        bad = tmp_path / f"bad{suffix}"
+        bad.write_bytes(b"\xff\xfe" + "BOS X0 Y0 Z0 H1 W1 EOS".encode("utf-16-le"))
+        argv = [a.format(bad=bad, assembly=assembly_file) for a in argv]
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "brickforge.cli", *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 1, loader
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        err = json.loads(proc.stderr)
+        assert err["error"] == "malformed_input"
+        assert err["detail"].startswith(f"{bad} is not ")
+        assert "can't decode byte 0xff in position 0" in err["detail"]
+
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
