@@ -15,7 +15,6 @@ from .bricks import (
 )
 from .decode import (
     DecodeBudgets,
-    DecodeState,
     GenerateResult,
     GreedyGeometryPolicy,
     Policy,
@@ -57,7 +56,7 @@ from .stability import (
     r_stable,
     stability_scores,
 )
-from .tokenizer import detokenize, detokenize_lenient, sequence_stats, tokenize
+from .tokenizer import DecodeState, detokenize, detokenize_lenient, sequence_stats, tokenize
 from .tokens import CODEBOOK_SIZE, Token, TokenSequence, baseline_codebook, codebook
 from .tree import AttachmentTree, build_spanning_tree
 

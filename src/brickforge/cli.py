@@ -37,11 +37,14 @@ def _emit(text: str, out: str | None):
 
 
 def _read(path: str, as_json: bool = False):
-    """The text of an input file, or its JSON value.  Undecodable bytes and
-    invalid JSON raise MalformedInputError, so no loader leaks a traceback."""
+    """The text of an input file, or its JSON value.  An unreadable path,
+    undecodable bytes and invalid JSON raise MalformedInputError, so no
+    loader leaks a traceback."""
     try:
         text = Path(path).read_text()
         return json.loads(text) if as_json else text
+    except OSError as err:  # missing file, a directory, no permission
+        raise MalformedInputError(f"cannot read {path}: {err.strerror}") from None
     except ValueError as err:  # UnicodeDecodeError, JSONDecodeError
         raise MalformedInputError(f"{path} is not {'JSON' if as_json else 'text'}: {err}") from None
 

@@ -1,14 +1,14 @@
 """Validity-constrained autoregressive decoding with pluggable policies and
 stability-guided rollback.
 
-Generation mirrors the detokenizer's BFS state machine: a policy proposes
-either a child tuple (f, h, w, m) or EOP for the current parent; the
-harness validates each tuple in two stages (token-level legality, then
-bounds and collision against the partial occupancy) and resamples on
-rejection.  After a complete structure is produced its stability is
-scored; if some brick is unstable, the sequence is truncated to just before
-the tokens of that brick's parent and decoding resumes from the replayed
-prefix state, up to a rollback budget.
+Generation drives the tokenizer's BFS state machine, ``DecodeState``: a
+policy proposes either a child tuple (f, h, w, m) or EOP for the current
+parent; the harness validates each tuple in two stages (token-level
+legality, then bounds and collision against the partial occupancy) and
+resamples on rejection.  After a complete structure is produced its
+stability is scored; if some brick is unstable, the sequence is truncated
+to just before the tokens of that brick's parent and decoding resumes
+from that prefix state, up to a rollback budget.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import json
 import subprocess
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,26 +27,13 @@ from .errors import (
     BudgetExhaustedError,
     EmptyTargetError,
     InconsistentSequenceError,
+    MalformedInputError,
     NoUnstableBrickError,
 )
 from .geometry import VoxelGrid
 from .stability import PhysicsParams, StabilityReport, stability_scores
-from .tokens import (
-    BOS,
-    EOP,
-    EOS,
-    KIND_COORD,
-    KIND_EOP,
-    KIND_F,
-    KIND_M,
-    KIND_SIZE,
-    Token,
-    TokenSequence,
-    coord,
-    f_token,
-    m_token,
-    size,
-)
+from .tokenizer import DecodeState
+from .tokens import BOS, TokenSequence
 
 # validate_tuple rejection reasons
 REJECT_CONNECTOR = "connector_out_of_range"
@@ -83,115 +69,6 @@ class DecodeBudgets:
     def __post_init__(self):
         if min(self.max_resamples_per_tuple, self.max_rollbacks, self.max_bricks) < 1:
             raise ValueError("all budgets must be positive")
-
-
-class DecodeState:
-    """Mutable decoding process state: token prefix, partial assembly, and
-    the BFS queue mirroring the detokenizer."""
-
-    def __init__(self):
-        self.bricks: list[Brick] = []
-        self.parent_of: list[int | None] = []
-        self.tuple_start: list[int] = []  # body index where each brick's tokens begin
-        self.body: list[Token] = []       # tokens after BOS (header + groups, no EOS)
-        self.queue: deque[int] = deque()
-        self.current: int | None = None
-        self.f_floor: int = -1
-        self.occupancy = np.zeros((GRID, GRID, GRID), dtype=bool)
-
-    @property
-    def started(self) -> bool:
-        return bool(self.bricks)
-
-    @property
-    def done(self) -> bool:
-        return self.started and self.current is None
-
-    def current_parent(self) -> Brick:
-        return self.bricks[self.current]
-
-    def _occupy(self, brick: Brick):
-        self.occupancy[brick.x:brick.x + brick.h, brick.y:brick.y + brick.w, brick.z] = True
-
-    def apply_root(self, brick: Brick):
-        assert not self.started
-        self.bricks.append(brick)
-        self.parent_of.append(None)
-        self.tuple_start.append(0)
-        self.body += [coord(brick.x), coord(brick.y), coord(brick.z),
-                      size(brick.h), size(brick.w)]
-        self._occupy(brick)
-        self.current = 0
-        self.f_floor = -1
-
-    def apply_tuple(self, f: int, h: int, w: int, m: int, brick: Brick):
-        self.tuple_start.append(len(self.body))
-        self.body += [f_token(f), size(h), size(w), m_token(m)]
-        self.parent_of.append(self.current)
-        self.bricks.append(brick)
-        self.queue.append(len(self.bricks) - 1)
-        self._occupy(brick)
-        self.f_floor = f
-
-    def apply_eop(self):
-        self.body.append(EOP)
-        self.current = self.queue.popleft() if self.queue else None
-        self.f_floor = -1
-
-    def assembly(self) -> BrickAssembly:
-        return BrickAssembly(tuple(self.bricks))
-
-    def finalize(self) -> TokenSequence:
-        """Complete sequence for the current prefix: trailing EOP tokens are
-        stripped and BOS/EOS added; the state itself is left untouched."""
-        body = list(self.body)
-        while body and body[-1].kind == KIND_EOP:
-            body.pop()
-        return TokenSequence([BOS] + body + [EOS])
-
-    def fingerprint(self) -> tuple:
-        return (tuple(self.bricks), tuple(self.parent_of), tuple(self.queue),
-                self.current, self.f_floor, tuple(self.body))
-
-    @staticmethod
-    def replay(body: list[Token]) -> "DecodeState":
-        """Rebuild the decoding state reached after consuming ``body``.
-
-        The prefix must be internally consistent (validated while walking);
-        raises InconsistentSequenceError otherwise.
-        """
-        state = DecodeState()
-        if not body:
-            return state
-        if len(body) < 5:
-            raise InconsistentSequenceError("prefix shorter than a root header")
-        kinds = [t.kind for t in body[:5]]
-        if kinds != [KIND_COORD, KIND_COORD, KIND_COORD, KIND_SIZE, KIND_SIZE]:
-            raise InconsistentSequenceError(f"bad root header kinds {kinds}")
-        x, y, z, h, w = (t.value for t in body[:5])
-        try:
-            state.apply_root(Brick(h, w, x, y, z))
-        except BrickforgeError as err:
-            raise InconsistentSequenceError(f"invalid root: {err}") from err
-        idx = 5
-        while idx < len(body):
-            tok = body[idx]
-            if tok.kind == KIND_EOP:
-                if state.current is None:
-                    raise InconsistentSequenceError("EOP with no active parent")
-                state.apply_eop()
-                idx += 1
-                continue
-            group = body[idx:idx + 4]
-            if len(group) < 4 or [t.kind for t in group] != [KIND_F, KIND_SIZE, KIND_SIZE, KIND_M]:
-                raise InconsistentSequenceError(f"bad tuple at body position {idx}")
-            f, h, w, m = (t.value for t in group)
-            brick, reason = validate_tuple(state, f, h, w, m)
-            if brick is None:
-                raise InconsistentSequenceError(f"tuple at body position {idx}: {reason}")
-            state.apply_tuple(f, h, w, m, brick)
-            idx += 4
-        return state
 
 
 def validate_tuple(state: DecodeState, f: int, h: int, w: int, m: int):
@@ -359,8 +236,10 @@ class SubprocessPolicy(Policy):
     Requests: {"state": [token ids], "parent": {h,w,x,y,z} | null,
     "group_f_floor": int}; ``parent`` is null when a root header is wanted.
     Replies: {"action": "tuple", "f":, "h":, "w":, "m":} or
-    {"action": "eop"} or {"action": "root", "x":, "y":, "z":, "h":, "w":}.
-    All validation stays in the harness.
+    {"action": "eop"} or {"action": "root", "x":, "y":, "z":, "h":, "w":},
+    with int fields; any other reply raises MalformedInputError.  All
+    validation stays in the harness.  Usable as a context manager that
+    closes the child on exit.
     """
 
     def __init__(self, command: list[str]):
@@ -372,13 +251,33 @@ class SubprocessPolicy(Policy):
             self.proc.stdin.close()
         self.proc.wait(timeout=10)
 
+    def __enter__(self) -> "SubprocessPolicy":
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
     def _roundtrip(self, payload: dict) -> dict:
         self.proc.stdin.write(json.dumps(payload) + "\n")
         self.proc.stdin.flush()
         line = self.proc.stdout.readline()
         if not line:
             raise BrickforgeError("external policy closed its output stream")
-        return json.loads(line)
+        try:
+            reply = json.loads(line)
+        except ValueError:
+            reply = None
+        if not isinstance(reply, dict):
+            raise MalformedInputError(f"external policy reply {line.rstrip()!r} is not a JSON object")
+        return reply
+
+    @staticmethod
+    def _ints(reply: dict, keys: str) -> tuple[int, ...]:
+        values = tuple(reply.get(k) for k in keys)
+        if not all(type(v) is int for v in values):
+            raise MalformedInputError(
+                f"external policy reply {reply!r} needs int fields {', '.join(keys)}")
+        return values
 
     def _request(self, state: DecodeState, parent: Brick | None) -> dict:
         prefix = [BOS] + state.body
@@ -391,8 +290,8 @@ class SubprocessPolicy(Policy):
     def propose_root(self, target, rng):
         reply = self._request(DecodeState(), None)
         if reply.get("action") != "root":
-            raise BrickforgeError(f"expected a root action, got {reply!r}")
-        return tuple(int(reply[k]) for k in ("x", "y", "z", "h", "w"))
+            raise MalformedInputError(f"expected a root action, got {reply!r}")
+        return self._ints(reply, "xyzhw")
 
     def propose(self, target, state, rng):
         reply = self._request(state, state.current_parent())
@@ -400,8 +299,8 @@ class SubprocessPolicy(Policy):
         if action == "eop":
             return None
         if action == "tuple":
-            return tuple(int(reply[k]) for k in ("f", "h", "w", "m"))
-        raise BrickforgeError(f"expected tuple/eop action, got {reply!r}")
+            return self._ints(reply, "fhwm")
+        raise MalformedInputError(f"expected tuple/eop action, got {reply!r}")
 
 
 @dataclass
@@ -447,7 +346,7 @@ class GenerateResult:
 def rollback(sequence: TokenSequence, assembly: BrickAssembly,
              report: StabilityReport) -> DecodeState:
     """Truncate to just before the tokens of the first unstable brick's
-    parent and rebuild the decoding state for that prefix by replay.
+    parent: replay the sequence once, then cut that state back.
 
     When that parent is the root (or the root itself is unstable) the state
     restarts from just after BOS.  Raises NoUnstableBrickError when every
@@ -461,15 +360,12 @@ def rollback(sequence: TokenSequence, assembly: BrickAssembly,
     tokens = sequence.tokens
     if len(tokens) < 2 or tokens[0].kind != "BOS" or tokens[-1].kind != "EOS":
         raise InconsistentSequenceError("sequence must be BOS ... EOS")
-    full = DecodeState.replay(list(tokens[1:-1]))
-    if tuple(full.bricks) != assembly.bricks:
+    state = DecodeState.replay(list(tokens[1:-1]))
+    if tuple(state.bricks) != assembly.bricks:
         raise InconsistentSequenceError("sequence does not decode to the given assembly")
-    parent = full.parent_of[k] if k < len(full.parent_of) else None
-    if k == 0 or parent == 0 or parent is None:
-        cut = 0  # restart from just after BOS
-    else:
-        cut = full.tuple_start[parent]
-    return DecodeState.replay(full.body[:cut])
+    parent = state.parent_of[k] if k < len(state.parent_of) else None
+    state.truncate(state.tuple_start[parent] if parent else 0)
+    return state
 
 
 def _sample_root(policy: Policy, target: VoxelGrid, state: DecodeState,

@@ -6,11 +6,15 @@ child tuples (sorted by f) and an EOP closing the group.  The maximal
 trailing run of EOP tokens is stripped before EOS; the detokenizer treats
 the end of the sequence as an implicit EOP for every pending parent, so the
 two directions stay inverse to each other.
+
+:class:`DecodeState` is the one parser of that grammar: the detokenizer
+feeds it whole sequences, constrained generation one item at a time.
 """
 
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 
@@ -18,6 +22,7 @@ from .attach import decode_attachment, encode_attachment
 from .bricks import Brick, BrickAssembly, CATALOG_SIZES, place
 from .errors import (
     BrickforgeError,
+    InconsistentSequenceError,
     MalformedHeaderError,
     MalformedSequenceError,
     TuplesAfterQueueEmptyError,
@@ -62,63 +67,170 @@ def tokenize(assembly: BrickAssembly) -> TokenSequence:
             child = bricks[c]
             body += [f_token(code.f), size(child.h), size(child.w), m_token(code.m)]
         body.append(EOP)
-    while body and body[-1].kind == KIND_EOP:
-        body.pop()
-    return TokenSequence([BOS] + body + [EOS])
+    return _close(body)
 
 
-def _parse_header(tokens: tuple[Token, ...]) -> Brick:
+def _close(body: list[Token]) -> TokenSequence:
+    """BOS, ``body`` without its maximal trailing run of EOP, EOS."""
+    end = len(body)
+    while end and body[end - 1].kind == KIND_EOP:
+        end -= 1
+    return TokenSequence([BOS] + body[:end] + [EOS])
+
+
+def _body(sequence: TokenSequence) -> tuple[Token, ...]:
+    """The tokens between BOS and EOS, at least a root header's worth."""
+    tokens = sequence.tokens
     if len(tokens) < 7 or tokens[0].kind != "BOS" or tokens[-1].kind != KIND_EOS:
         raise MalformedHeaderError("sequence must be BOS <header> ... EOS with 5 header tokens")
-    hdr = tokens[1:6]
-    kinds = [t.kind for t in hdr]
+    return tokens[1:-1]
+
+
+def _root(header) -> Brick:
+    kinds = [t.kind for t in header]
     if kinds != [KIND_COORD, KIND_COORD, KIND_COORD, KIND_SIZE, KIND_SIZE]:
         raise MalformedHeaderError(f"root header kinds {kinds}")
-    x, y, z, h, w = (t.value for t in hdr)
+    x, y, z, h, w = (t.value for t in header)
     return Brick(h, w, x, y, z)
 
 
-def _detokenize(sequence: TokenSequence):
-    """Generator used by both modes: yields the assembly after each accepted
-    brick; raises structural errors where strict mode would."""
-    tokens = sequence.tokens
-    assembly = BrickAssembly((_parse_header(tokens),))
-    yield assembly
-    body = tokens[6:-1]
-    queue: deque[int] = deque()
-    current: int | None = 0
-    last_f = -1
+def _items(groups):
+    """Split the tokens after the root header into EOP (``None``) and
+    (f, h, w, m) items, each yielded with the index just past it."""
     idx = 0
-    while idx < len(body):
-        tok = body[idx]
-        if tok.kind == KIND_EOP:
+    while idx < len(groups):
+        if groups[idx].kind == KIND_EOP:
             idx += 1
-            if queue:
-                current = queue.popleft()
-                last_f = -1
-            elif idx < len(body):
-                raise TuplesAfterQueueEmptyError("tokens remain after the BFS queue drained")
-            else:
-                current = None
+            yield idx, None
             continue
-        if current is None:
-            raise TuplesAfterQueueEmptyError("tokens remain after the BFS queue drained")
-        group = body[idx:idx + 4]
-        if len(group) < 4 or [t.kind for t in group] != [KIND_F, KIND_SIZE, KIND_SIZE, KIND_M]:
+        group = groups[idx:idx + 4]
+        if [t.kind for t in group] != [KIND_F, KIND_SIZE, KIND_SIZE, KIND_M]:
             raise MalformedSequenceError(
                 f"expected (f,h,w,m) tuple at body position {idx}, got {group}")
-        f, h, w, m = (t.value for t in group)
-        if (h, w) not in CATALOG_SIZES:
-            raise MalformedSequenceError(f"({h},{w}) not a catalog footprint")
-        if f <= last_f:
-            warnings.warn(NonMonotoneFWarning(f"f={f} after f={last_f} in one group"))
-        parent = assembly.bricks[current]
-        child = decode_attachment(f, m, parent, (h, w))
-        assembly = place(assembly, child)
-        queue.append(len(assembly.bricks) - 1)
-        last_f = f
+        f, h, w, m = group
         idx += 4
-        yield assembly
+        yield idx, (f.value, h.value, w.value, m.value)
+
+
+class DecodeState:
+    """The BFS state machine over the sequence grammar: token prefix, the
+    partial assembly (grown through :func:`place`) and the parent queue."""
+
+    def __init__(self):
+        self.bricks: list[Brick] = []
+        self.parent_of: list[int | None] = []
+        self.tuple_start: list[int] = []  # body index where each brick's tokens begin
+        self.body: list[Token] = []       # tokens after BOS (header + groups, no EOS)
+        self.queue: deque[int] = deque()
+        self.current: int | None = None
+        self.f_floor: int = -1
+        self._assembly = BrickAssembly()
+
+    @property
+    def started(self) -> bool:
+        return bool(self.bricks)
+
+    @property
+    def done(self) -> bool:
+        return self.started and self.current is None
+
+    @property
+    def occupancy(self):
+        """Read-only occupancy grid of the partial assembly."""
+        return self._assembly.occupancy
+
+    def current_parent(self) -> Brick:
+        return self.bricks[self.current]
+
+    def apply_root(self, brick: Brick):
+        assert not self.started
+        self._assembly = place(self._assembly, brick)
+        self.bricks.append(brick)
+        self.parent_of.append(None)
+        self.tuple_start.append(0)
+        self.body += [coord(brick.x), coord(brick.y), coord(brick.z),
+                      size(brick.h), size(brick.w)]
+        self.current = 0
+        self.f_floor = -1
+
+    def apply_tuple(self, f: int, h: int, w: int, m: int, brick: Brick):
+        self._assembly = place(self._assembly, brick)
+        self.tuple_start.append(len(self.body))
+        self.body += [f_token(f), size(h), size(w), m_token(m)]
+        self.parent_of.append(self.current)
+        self.bricks.append(brick)
+        self.queue.append(len(self.bricks) - 1)
+        self.f_floor = f
+
+    def apply_eop(self):
+        self.body.append(EOP)
+        self.current = self.queue.popleft() if self.queue else None
+        self.f_floor = -1
+
+    def _feed(self, body, monotone: bool):
+        """Consume ``body``, a root header then EOP and (f, h, w, m) items,
+        into this fresh state.  The first error leaves the state at the
+        longest valid prefix.  An f that does not increase within a group is
+        an error when ``monotone``, else a NonMonotoneFWarning."""
+        self.apply_root(_root(body[:5]))
+        groups = body[5:]
+        for end, item in _items(groups):
+            if item is None:
+                if not self.queue and end < len(groups):
+                    raise TuplesAfterQueueEmptyError("tokens remain after the BFS queue drained")
+                self.apply_eop()
+                continue
+            f, h, w, m = item
+            if (h, w) not in CATALOG_SIZES:
+                raise MalformedSequenceError(f"({h},{w}) not a catalog footprint")
+            if f <= self.f_floor:
+                message = f"f={f} after f={self.f_floor} in one group"
+                if monotone:
+                    raise MalformedSequenceError(message)
+                warnings.warn(NonMonotoneFWarning(message))
+            self.apply_tuple(f, h, w, m, decode_attachment(f, m, self.current_parent(), (h, w)))
+
+    def truncate(self, n: int):
+        """Cut the state back to what consuming its first ``n`` body tokens
+        gives; ``n`` must be 0 or fall between items."""
+        body = self.body
+        if n and not (5 <= n <= len(body) and (n == 5 or body[n - 1].kind in (KIND_EOP, KIND_M))):
+            raise ValueError(f"body position {n} is not between items")
+        keep = bisect_left(self.tuple_start, n)
+        del body[n:], self.bricks[keep:], self.parent_of[keep:], self.tuple_start[keep:]
+        self._assembly = BrickAssembly(tuple(self.bricks))
+        # parents are dequeued in brick order, one per EOP
+        eops = sum(t.kind == KIND_EOP for t in body)
+        self.current = eops if eops < keep else None
+        self.queue = deque(range(eops + 1, keep))
+        self.f_floor = body[-4].value if body and body[-1].kind == KIND_M else -1
+
+    def assembly(self) -> BrickAssembly:
+        return self._assembly
+
+    def finalize(self) -> TokenSequence:
+        """Complete sequence for the current prefix: trailing EOP tokens are
+        stripped and BOS/EOS added; the state itself is left untouched."""
+        return _close(self.body)
+
+    def fingerprint(self) -> tuple:
+        return (tuple(self.bricks), tuple(self.parent_of), tuple(self.queue),
+                self.current, self.f_floor, tuple(self.body))
+
+    @staticmethod
+    def replay(body: list[Token]) -> "DecodeState":
+        """Rebuild the decoding state reached after consuming ``body``.
+
+        The prefix must be one the decoder could have produced; raises
+        InconsistentSequenceError otherwise.
+        """
+        state = DecodeState()
+        if body:
+            try:
+                state._feed(body, monotone=True)
+            except BrickforgeError as err:
+                raise InconsistentSequenceError(f"{err.code}: {err}") from err
+        return state
 
 
 def detokenize(sequence: TokenSequence, mode: str = "strict") -> BrickAssembly:
@@ -129,10 +241,9 @@ def detokenize(sequence: TokenSequence, mode: str = "strict") -> BrickAssembly:
     diagnostic).
     """
     if mode == "strict":
-        assembly = None
-        for assembly in _detokenize(sequence):
-            pass
-        return assembly
+        state = DecodeState()
+        state._feed(_body(sequence), monotone=False)
+        return state.assembly()
     if mode == "lenient":
         return detokenize_lenient(sequence)[0]
     raise ValueError(f"unknown mode {mode!r}")
@@ -141,15 +252,12 @@ def detokenize(sequence: TokenSequence, mode: str = "strict") -> BrickAssembly:
 def detokenize_lenient(sequence: TokenSequence) -> tuple[BrickAssembly, str | None]:
     """Decode as far as possible; on the first structural violation return
     the prefix assembly together with a diagnostic string."""
-    assembly = BrickAssembly()
-    gen = _detokenize(sequence)
-    while True:
-        try:
-            assembly = next(gen)
-        except StopIteration:
-            return assembly, None
-        except BrickforgeError as err:
-            return assembly, f"{err.code}: {err}"
+    state = DecodeState()
+    try:
+        state._feed(_body(sequence), monotone=False)
+    except BrickforgeError as err:
+        return state.assembly(), f"{err.code}: {err}"
+    return state.assembly(), None
 
 
 @dataclass(frozen=True)
@@ -162,23 +270,12 @@ class SequenceStats:
 def sequence_stats(sequence: TokenSequence) -> SequenceStats:
     """Report (N, I, T) for a well-formed sequence and check the length law
     T = 4N + I + 3 with T <= 5N + 2."""
-    tokens = sequence.tokens
-    _parse_header(tokens)
-    body = tokens[6:-1]
-    n = 1
-    i = 0
-    idx = 0
-    while idx < len(body):
-        if body[idx].kind == KIND_EOP:
-            i += 1
-            idx += 1
-            continue
-        group = body[idx:idx + 4]
-        if len(group) < 4 or [t.kind for t in group] != [KIND_F, KIND_SIZE, KIND_SIZE, KIND_M]:
-            raise MalformedSequenceError(f"expected (f,h,w,m) tuple at body position {idx}")
-        n += 1
-        idx += 4
-    t = len(tokens)
+    body = _body(sequence)
+    _root(body[:5])
+    items = [item for _, item in _items(body[5:])]
+    i = items.count(None)
+    n = 1 + len(items) - i
+    t = len(sequence.tokens)
     if t != 4 * n + i + 3:
         raise MalformedSequenceError(f"length {t} != 4N+I+3 for N={n}, I={i}")
     if t > 5 * n + 2:

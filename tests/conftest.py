@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import warnings
 from collections import deque
 
 import numpy as np
@@ -19,9 +20,27 @@ from brickforge.decode import (
     REJECT_SIZE,
     DecodeState,
 )
-from brickforge.errors import BrickforgeError, CollisionError, EmptyCloudError, EmptyTargetError
+from brickforge.errors import (
+    BrickforgeError,
+    CollisionError,
+    EmptyCloudError,
+    EmptyTargetError,
+    InconsistentSequenceError,
+    MalformedHeaderError,
+    MalformedSequenceError,
+    TuplesAfterQueueEmptyError,
+)
 from brickforge.geometry import PointCloud, SurfaceMesh, VoxelGrid
-from brickforge.tokens import KIND_EOP
+from brickforge.tokenizer import NonMonotoneFWarning, SequenceStats
+from brickforge.tokens import (
+    KIND_COORD,
+    KIND_EOP,
+    KIND_EOS,
+    KIND_F,
+    KIND_M,
+    KIND_SIZE,
+    TokenSequence,
+)
 
 CATALOG = sorted(CATALOG_SIZES)
 
@@ -263,6 +282,148 @@ def replay_reference(body_tokens) -> tuple:
         floor = f
         idx += 4
     return (tuple(bricks), tuple(parent_of), tuple(queue), current, floor, tuple(body))
+
+
+# The three hand-written walkers of the sequence grammar that DecodeState
+# replaced, kept as oracles: the detokenizer generator behind both modes,
+# the stats counter and the decoder's validating replay.
+_HEADER_KINDS = [KIND_COORD, KIND_COORD, KIND_COORD, KIND_SIZE, KIND_SIZE]
+_TUPLE_KINDS = [KIND_F, KIND_SIZE, KIND_SIZE, KIND_M]
+
+
+def _parse_header_reference(tokens) -> Brick:
+    if len(tokens) < 7 or tokens[0].kind != "BOS" or tokens[-1].kind != KIND_EOS:
+        raise MalformedHeaderError("sequence must be BOS <header> ... EOS with 5 header tokens")
+    hdr = tokens[1:6]
+    kinds = [t.kind for t in hdr]
+    if kinds != _HEADER_KINDS:
+        raise MalformedHeaderError(f"root header kinds {kinds}")
+    x, y, z, h, w = (t.value for t in hdr)
+    return Brick(h, w, x, y, z)
+
+
+def _detokenize_reference(sequence: TokenSequence):
+    """Yields the assembly after each accepted brick; raises structural
+    errors where strict mode would."""
+    tokens = sequence.tokens
+    assembly = BrickAssembly((_parse_header_reference(tokens),))
+    yield assembly
+    body = tokens[6:-1]
+    queue: deque[int] = deque()
+    current: int | None = 0
+    last_f = -1
+    idx = 0
+    while idx < len(body):
+        tok = body[idx]
+        if tok.kind == KIND_EOP:
+            idx += 1
+            if queue:
+                current = queue.popleft()
+                last_f = -1
+            elif idx < len(body):
+                raise TuplesAfterQueueEmptyError("tokens remain after the BFS queue drained")
+            else:
+                current = None
+            continue
+        if current is None:
+            raise TuplesAfterQueueEmptyError("tokens remain after the BFS queue drained")
+        group = body[idx:idx + 4]
+        if len(group) < 4 or [t.kind for t in group] != _TUPLE_KINDS:
+            raise MalformedSequenceError(
+                f"expected (f,h,w,m) tuple at body position {idx}, got {group}")
+        f, h, w, m = (t.value for t in group)
+        if (h, w) not in CATALOG_SIZES:
+            raise MalformedSequenceError(f"({h},{w}) not a catalog footprint")
+        if f <= last_f:
+            warnings.warn(NonMonotoneFWarning(f"f={f} after f={last_f} in one group"))
+        child = decode_attachment(f, m, assembly.bricks[current], (h, w))
+        assembly = place_reference(assembly, child)
+        queue.append(len(assembly.bricks) - 1)
+        last_f = f
+        idx += 4
+        yield assembly
+
+
+def detokenize_reference(sequence: TokenSequence) -> BrickAssembly:
+    assembly = None
+    for assembly in _detokenize_reference(sequence):
+        pass
+    return assembly
+
+
+def detokenize_lenient_reference(sequence: TokenSequence) -> tuple[BrickAssembly, str | None]:
+    assembly = BrickAssembly()
+    gen = _detokenize_reference(sequence)
+    while True:
+        try:
+            assembly = next(gen)
+        except StopIteration:
+            return assembly, None
+        except BrickforgeError as err:
+            return assembly, f"{err.code}: {err}"
+
+
+def sequence_stats_reference(sequence: TokenSequence) -> SequenceStats:
+    tokens = sequence.tokens
+    _parse_header_reference(tokens)
+    body = tokens[6:-1]
+    n = 1
+    i = 0
+    idx = 0
+    while idx < len(body):
+        if body[idx].kind == KIND_EOP:
+            i += 1
+            idx += 1
+            continue
+        group = body[idx:idx + 4]
+        if len(group) < 4 or [t.kind for t in group] != _TUPLE_KINDS:
+            raise MalformedSequenceError(f"expected (f,h,w,m) tuple at body position {idx}")
+        n += 1
+        idx += 4
+    t = len(tokens)
+    if t != 4 * n + i + 3:
+        raise MalformedSequenceError(f"length {t} != 4N+I+3 for N={n}, I={i}")
+    if t > 5 * n + 2:
+        raise MalformedSequenceError(f"length {t} exceeds 5N+2 for N={n}")
+    return SequenceStats(n_bricks=n, n_eop=i, length=t)
+
+
+def replay_checked_reference(body) -> tuple:
+    """Validating replay: the fingerprint of the state reached after
+    ``body``, checking every tuple with ``validate_tuple_reference``; raises
+    InconsistentSequenceError on the first prefix the decoder could not
+    have produced."""
+    state = DecodeState()
+    if not body:
+        return state.fingerprint()
+    if len(body) < 5:
+        raise InconsistentSequenceError("prefix shorter than a root header")
+    kinds = [t.kind for t in body[:5]]
+    if kinds != _HEADER_KINDS:
+        raise InconsistentSequenceError(f"bad root header kinds {kinds}")
+    x, y, z, h, w = (t.value for t in body[:5])
+    try:
+        state.apply_root(Brick(h, w, x, y, z))
+    except BrickforgeError as err:
+        raise InconsistentSequenceError(f"invalid root: {err}") from err
+    idx = 5
+    while idx < len(body):
+        if body[idx].kind == KIND_EOP:
+            if state.current is None:
+                raise InconsistentSequenceError("EOP with no active parent")
+            state.apply_eop()
+            idx += 1
+            continue
+        group = body[idx:idx + 4]
+        if len(group) < 4 or [t.kind for t in group] != _TUPLE_KINDS:
+            raise InconsistentSequenceError(f"bad tuple at body position {idx}")
+        f, h, w, m = (t.value for t in group)
+        brick, reason = validate_tuple_reference(state, f, h, w, m)
+        if brick is None:
+            raise InconsistentSequenceError(f"tuple at body position {idx}: {reason}")
+        state.apply_tuple(f, h, w, m, brick)
+        idx += 4
+    return state.fingerprint()
 
 
 def expected_rollback_fingerprint(sequence, scores) -> tuple:

@@ -1,6 +1,7 @@
 """The one-brick ``place``, the layer-bucketed ``attachment_edges`` and the
 decoder built on them, checked against the full-rebuild and all-pairs
-implementations kept in ``conftest``."""
+implementations kept in ``conftest``; and ``DecodeState``, the one walker
+of the sequence grammar, against the three walkers it replaced."""
 
 import warnings
 
@@ -9,15 +10,26 @@ import pytest
 
 from brickforge import tokenizer
 from brickforge.bricks import GRID, Brick, BrickAssembly, attachment_edges, place
-from brickforge.errors import BrickforgeError, CollisionError
-from brickforge.tokenizer import detokenize, detokenize_lenient, sequence_stats, tokenize
-from brickforge.tokens import CODEBOOK_SIZE, TokenSequence
+from brickforge.errors import BrickforgeError, CollisionError, InconsistentSequenceError
+from brickforge.tokenizer import (
+    DecodeState,
+    detokenize,
+    detokenize_lenient,
+    sequence_stats,
+    tokenize,
+)
+from brickforge.tokens import CODEBOOK_SIZE, KIND_EOP, TokenSequence
 
 from conftest import (
     CATALOG,
     attachment_edges_reference,
+    detokenize_lenient_reference,
+    detokenize_reference,
     grow_random_assembly,
     place_reference,
+    replay_checked_reference,
+    replay_reference,
+    sequence_stats_reference,
 )
 
 SIZES = (1, 20, 80, 150)
@@ -101,17 +113,22 @@ def random_id_sequence(rng, pool) -> list[int]:
     return ids
 
 
-def decode_outcomes(sequence: TokenSequence) -> tuple:
-    """What each decoder returns or raises, with the warnings it issues."""
+DECODERS = (detokenize, detokenize_lenient, sequence_stats)
+REFERENCE_DECODERS = (detokenize_reference, detokenize_lenient_reference, sequence_stats_reference)
+
+
+def decode_outcomes(sequence: TokenSequence, decoders=DECODERS) -> tuple:
+    """What each decoder (strict, lenient, stats) returns or raises, with
+    the warnings it issues."""
     out = []
-    for fn in (detokenize, detokenize_lenient, sequence_stats):
+    for fn in decoders:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
                 result = fn(sequence)
             except BrickforgeError as err:
                 result = (err.code, str(err))
-        if fn is detokenize_lenient:
+        if fn is decoders[1]:
             assembly, diagnostic = result
             result = (assembly.bricks, assembly.occupancy.tobytes(), diagnostic)
         elif isinstance(result, BrickAssembly):
@@ -134,3 +151,72 @@ def test_decoders_match_full_rebuild_on_random_ids(monkeypatch):
     assert {"collision", "out_of_bounds", "token_out_of_range", "tuples_after_queue_empty",
             "malformed_header", "malformed_sequence"} <= codes
     assert sum(1 for _, ((prefix, _, _), _), _ in ours if len(prefix) >= 10) > 1000
+
+
+def seeded_sequences() -> list[TokenSequence]:
+    """The 20k seeded sequences of ``test_decoders_match_full_rebuild_on_random_ids``."""
+    rng = np.random.default_rng(20000)
+    pool = [tokenize(grow_random_assembly(rng, int(n))).ids()
+            for n in rng.integers(2, 20, size=200)]
+    return [TokenSequence.from_ids(random_id_sequence(rng, pool)) for _ in range(20_000)]
+
+
+def replay_outcome(replay, body) -> tuple | str:
+    """The replayed state's fingerprint, or the error code it raises."""
+    try:
+        return replay(body)
+    except InconsistentSequenceError as err:
+        return err.code
+
+
+def test_decode_state_matches_the_walkers_it_replaced():
+    suffixed = 0
+    replays = {"inconsistent_sequence": 0, "accepted": 0}
+    for seq in seeded_sequences():
+        (strict, lenient, (stats, stats_warned)) = decode_outcomes(seq)
+        (ref_strict, ref_lenient, (ref_stats, ref_stats_warned)) = decode_outcomes(
+            seq, REFERENCE_DECODERS)
+        assert (strict, lenient) == (ref_strict, ref_lenient)
+        assert stats_warned == ref_stats_warned == []
+        if stats != ref_stats:  # the malformed-tuple message gains the tokens found
+            assert stats[0] == ref_stats[0] == "malformed_sequence"
+            assert ref_stats[1].startswith("expected (f,h,w,m) tuple at body position")
+            assert stats[1].startswith(ref_stats[1] + ", got ")
+            suffixed += 1
+        body = list(seq.tokens[1:-1])
+        ours = replay_outcome(lambda b: DecodeState.replay(b).fingerprint(), body)
+        assert ours == replay_outcome(replay_checked_reference, body)
+        if isinstance(ours, tuple):
+            assert ours == replay_reference(body)
+        replays["accepted" if isinstance(ours, tuple) else ours] += 1
+    assert suffixed > 100
+    assert min(replays.values()) > 1000
+
+
+def item_boundaries(body) -> list[int]:
+    cuts, idx = [0, 5], 5
+    while idx < len(body):
+        idx += 1 if body[idx].kind == KIND_EOP else 4
+        cuts.append(idx)
+    return cuts
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_truncate_matches_replay_of_the_prefix(n):
+    for target in corpus(n, count=3):
+        body = list(tokenize(target).tokens[1:-1])
+        cuts = item_boundaries(body)
+        for cut in cuts[:20] + cuts[20::max(1, len(cuts) // 40)] + cuts[-3:]:
+            state = DecodeState.replay(body)
+            state.truncate(cut)
+            fresh = DecodeState.replay(body[:cut])
+            assert state.fingerprint() == fresh.fingerprint() == replay_reference(body[:cut])
+            assert state.tuple_start == fresh.tuple_start
+            assert state.assembly() == fresh.assembly()
+            assert np.array_equal(state.occupancy, fresh.occupancy)
+        state = DecodeState.replay(body)
+        before = state.fingerprint()
+        for cut in set(range(1, len(body) + 2)) - set(cuts):
+            with pytest.raises(ValueError):
+                state.truncate(cut)
+        assert state.fingerprint() == before

@@ -1,3 +1,4 @@
+import re
 import sys
 import textwrap
 
@@ -16,10 +17,16 @@ from brickforge.decode import (
     rollback,
     validate_tuple,
 )
-from brickforge.errors import NoUnstableBrickError
+from brickforge.errors import (
+    CollisionError,
+    InconsistentSequenceError,
+    MalformedInputError,
+    NoUnstableBrickError,
+)
 from brickforge.geometry import VoxelGrid, voxelize_assembly, iou
 from brickforge.stability import StabilityReport, stability_scores
-from brickforge.tokenizer import detokenize, tokenize
+from brickforge.tokenizer import NonMonotoneFWarning, detokenize, tokenize
+from brickforge.tokens import TokenSequence
 
 from conftest import expected_rollback_fingerprint
 
@@ -241,6 +248,52 @@ class TestRollback:
             assert expected == event.fingerprint_after
 
 
+    def test_rollback_replays_the_sequence_once(self, monkeypatch):
+        calls = []
+        replay = DecodeState.replay
+
+        def counted(body):
+            calls.append(len(body))
+            return replay(body)
+
+        monkeypatch.setattr(DecodeState, "replay", staticmethod(counted))
+        a = BrickAssembly((Brick(4, 1, 5, 5, 0), Brick(1, 1, 5, 5, 1),
+                           Brick(1, 1, 8, 5, 1), Brick(8, 1, 8, 5, 2)))
+        seq = tokenize(a)
+        state = rollback(seq, a, StabilityReport(scores=[1.0, 1.0, 1.0, 0.0]))
+        assert calls == [len(seq) - 2]
+        assert state.fingerprint() == expected_rollback_fingerprint(seq, [1, 1, 1, 0.0])
+
+    def test_rollback_rejects_a_sequence_of_another_assembly(self):
+        a = BrickAssembly((Brick(1, 1, 5, 5, 0), Brick(1, 1, 5, 5, 1)))
+        other = BrickAssembly((Brick(1, 1, 5, 5, 0), Brick(1, 1, 5, 5, 1), Brick(1, 1, 5, 5, 2)))
+        with pytest.raises(InconsistentSequenceError, match="does not decode to the given"):
+            rollback(tokenize(other), a, StabilityReport(scores=[1.0, 0.0]))
+
+
+class TestReplayRejects:
+    # a 4x1 root whose group lists f=3 before f=0
+    NON_MONOTONE = "BOS X5 Y5 Z0 H4 W1 F3 H1 W1 M0 F0 H1 W1 M0 EOS"
+    # the root's child places its own child back onto the root's cell
+    COLLIDING = "BOS X5 Y5 Z0 H1 W1 F0 H1 W1 M0 EOP F1 H1 W1 M0 EOS"
+
+    def test_non_monotone_group(self):
+        seq = TokenSequence.from_text(self.NON_MONOTONE)
+        with pytest.raises(InconsistentSequenceError, match="f=0 after f=3"):
+            DecodeState.replay(list(seq.tokens[1:-1]))
+        with pytest.warns(NonMonotoneFWarning, match="f=0 after f=3"):
+            assembly = detokenize(seq)
+        assert assembly.bricks == (Brick(4, 1, 5, 5, 0), Brick(1, 1, 8, 5, 1),
+                                   Brick(1, 1, 5, 5, 1))
+
+    def test_colliding_child(self):
+        seq = TokenSequence.from_text(self.COLLIDING)
+        with pytest.raises(InconsistentSequenceError, match=r"collision: cell \(5, 5, 0\)"):
+            DecodeState.replay(list(seq.tokens[1:-1]))
+        with pytest.raises(CollisionError):
+            detokenize(seq)
+
+
 class TestGenerateContracts:
     def test_sequences_always_strict_detokenizable(self):
         target = grid_with([(3, 3, 0), (3, 3, 1)])
@@ -280,3 +333,23 @@ class TestSubprocessPolicy:
             policy.close()
         assert result.assembly.bricks == (Brick(2, 2, 4, 4, 0), Brick(2, 2, 4, 4, 1))
         assert result.stable
+
+    ROOT = '{"action": "root", "x": 4, "y": 4, "z": 0, "h": 2, "w": 2}'
+
+    @pytest.mark.parametrize("root_reply, reply, detail", [
+        ("not json", "", "reply 'not json' is not a JSON object"),
+        ('{"action": "root", "x": 4, "y": 4, "z": 0, "h": 2}', "",
+         "needs int fields x, y, z, h, w"),
+        (ROOT, '{"action": "tuple", "f": 0, "h": 2, "w": 2, "m": "0"}',
+         "'m': '0'} needs int fields f, h, w, m"),
+        (ROOT, "[0, 2, 2, 0]", "reply '[0, 2, 2, 0]' is not a JSON object"),
+    ])
+    def test_malformed_reply_is_a_domain_error(self, root_reply, reply, detail):
+        script = ("import sys\nfor line in sys.stdin:\n"
+                  f"    print({root_reply!r} if '\"parent\": null' in line else {reply!r},"
+                  " flush=True)\n")
+        with pytest.raises(MalformedInputError, match=re.escape(detail)):
+            with SubprocessPolicy([sys.executable, "-c", script]) as policy:
+                generate(policy, grid_with([(4, 4, 0)]), DecodeBudgets(8, 1, 4), seed=0)
+        assert policy.proc.stdin.closed
+        assert policy.proc.returncode == 0  # the child was reaped

@@ -336,6 +336,18 @@ class TestCli:
         assert err["detail"].startswith(f"{bad} is not ")
         assert "can't decode byte 0xff in position 0" in err["detail"]
 
+    @pytest.mark.parametrize("command, name, reason", [
+        ("stats", "missing.tok", "No such file or directory"),
+        ("validate", "", "Is a directory"),
+    ])
+    def test_unreadable_input_envelope(self, command, name, reason, tmp_path, capsys):
+        path = tmp_path / name
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "malformed_input",
+                                            "detail": f"cannot read {path}: {reason}"}
+
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
