@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -73,6 +74,24 @@ def _scored(args):
                                            seed=args.seed, solid_fill=not args.no_solid_fill)
 
 
+def _checked(convert, accept, want: str):
+    """An argparse ``type=``: text that ``convert`` rejects, or a value that
+    ``accept`` refuses, is a usage error (exit 2)."""
+    def parse(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"{want}, got {text!r}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_positive = _checked(float, lambda v: math.isfinite(v) and v > 0, "must be finite and > 0")
+_finite = _checked(float, math.isfinite, "must be finite")
+_count = _checked(int, lambda v: v >= 1, "must be an integer >= 1")
+_seed = _checked(int, lambda v: v >= 0, "must be an integer >= 0")
+
+
 def _physics(args) -> PhysicsParams:
     return PhysicsParams(brick_weight_per_cell=args.weight,
                          clutch_tension_capacity=args.clutch,
@@ -80,11 +99,11 @@ def _physics(args) -> PhysicsParams:
 
 
 def _add_physics_flags(parser):
-    parser.add_argument("--clutch", type=float, default=10.0,
+    parser.add_argument("--clutch", type=_positive, default=10.0,
                         help="clutch tension capacity per stud contact")
-    parser.add_argument("--weight", type=float, default=1.0,
+    parser.add_argument("--weight", type=_positive, default=1.0,
                         help="brick weight per footprint cell")
-    parser.add_argument("--slack-eps", type=float, default=1e-6,
+    parser.add_argument("--slack-eps", type=_positive, default=1e-6,
                         help="equilibrium slack tolerance")
 
 
@@ -222,8 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="reward breakdown per candidate (JSON lines)")
     p.add_argument("--target", required=True, help="target point cloud (.xyz)")
     p.add_argument("candidates", nargs="+")
-    p.add_argument("--samples", type=int, default=8192)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_count, default=8192)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--no-solid-fill", action="store_true")
     _add_physics_flags(p)
     p.set_defaults(func=_cmd_score)
@@ -231,11 +250,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prefpairs", help="preference pairs from scored candidates")
     p.add_argument("--target", required=True)
     p.add_argument("candidates", nargs="+")
-    p.add_argument("--gap-min", type=float, default=0.2)
-    p.add_argument("--floor", type=float, default=1.0)
+    p.add_argument("--gap-min", type=_finite, default=0.2)
+    p.add_argument("--floor", type=_finite, default=1.0)
     p.add_argument("--condition", default=None)
-    p.add_argument("--samples", type=int, default=8192)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_count, default=8192)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--no-solid-fill", action="store_true")
     _add_physics_flags(p)
     p.set_defaults(func=_cmd_prefpairs)
@@ -244,11 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True,
                    help="point cloud (.xyz) or voxel grid (.json)")
     p.add_argument("--policy", choices=("uniform", "greedy"), default="greedy")
-    p.add_argument("--temperature", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-resamples", type=int, default=32)
-    p.add_argument("--max-rollbacks", type=int, default=16)
-    p.add_argument("--max-bricks", type=int, default=400)
+    p.add_argument("--temperature", type=_finite, default=0.0)
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--max-resamples", type=_count, default=32)
+    p.add_argument("--max-rollbacks", type=_count, default=16)
+    p.add_argument("--max-bricks", type=_count, default=400)
     p.add_argument("--no-solid-fill", action="store_true")
     p.add_argument("--emit-tokens", help="also write the token sequence here")
     p.add_argument("-o", "--output")

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bricks import BrickAssembly, footprints_overlap
-from .bricks import connected_components
+from .bricks import GRID, BrickAssembly, connected_components
 from .errors import EmptyAssemblyError, SolverFailureError
 
 
@@ -32,153 +31,117 @@ class PhysicsParams:
     def __post_init__(self):
         for name in ("brick_weight_per_cell", "clutch_tension_capacity",
                      "slack_penalty", "slack_tolerance"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
-
-
-@dataclass(frozen=True)
-class Contact:
-    lower: int
-    upper: int
-    cell: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class GroundCell:
-    brick: int
-    cell: tuple[int, int]
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and strictly positive, got {value}")
 
 
 @dataclass
 class EquilibriumProgram:
-    """Dense LP description: minimize M * sum|slack| + t subject to per-brick
-    force and moment balance.
+    """Sparse LP description: minimize M * sum|slack| + t subject to
+    per-brick force and moment balance.
 
     Variable layout: contact forces, ground forces, split slack pairs
     (force, moment-x, moment-y per brick), then the tension scale t.
     Constraints: 3 equality rows per brick plus nonnegativity of the 6 split
     slack variables per brick (ground forces and t are plain variable
-    bounds).
+    bounds).  ``contacts`` has one (lower, upper, cx, cy) row per contact
+    column and ``grounds`` one (brick, cx, cy) row per ground column.
     """
 
     indices: list[int]
-    contacts: list[Contact]
-    grounds: list[GroundCell]
+    contacts: np.ndarray
+    grounds: np.ndarray
     c: np.ndarray
-    A_eq: np.ndarray
+    A_eq: object  # scipy.sparse.csr_array
     b_eq: np.ndarray
-    A_ub: np.ndarray
+    A_ub: object  # scipy.sparse.csr_array
     b_ub: np.ndarray
     bounds: list[tuple[float | None, float | None]]
 
     @property
-    def n_equalities(self) -> int:
-        return len(self.indices) * 3
-
-    @property
-    def n_slack_nonnegativity(self) -> int:
-        return len(self.indices) * 6
-
-    @property
     def n_constraints(self) -> int:
-        return self.n_equalities + self.n_slack_nonnegativity
+        return len(self.indices) * 9
 
 
 def assemble_equilibrium_program(assembly: BrickAssembly, params: PhysicsParams,
                                  indices: list[int] | None = None) -> EquilibriumProgram:
     """Build the elastic equilibrium LP over ``indices`` (default: all bricks).
 
-    Always feasible: slack variables absorb any residual at penalty M.
+    Contacts are read off an owner grid that holds, for each cell, the
+    position in ``indices`` of the brick there (-1 when empty), over a floor
+    layer owned by a virtual brick ``len(indices)``: a contact is an owned
+    cell whose upper neighbour is owned, and one whose lower owner is the
+    floor is a ground cell.  Sorting by (lower, upper, cell) puts contacts
+    first and ground cells last, each in ``indices`` order.  Always
+    feasible: slack variables absorb any residual at penalty M.
     """
-    bricks = assembly.bricks
+    from scipy.sparse import csr_array
+
     if indices is None:
-        indices = list(range(len(bricks)))
-    pos = {brick_idx: k for k, brick_idx in enumerate(indices)}
-
-    contacts: list[Contact] = []
-    for ai in indices:
-        for bi in indices:
-            a, b = bricks[ai], bricks[bi]
-            if b.z == a.z + 1 and footprints_overlap(a, b):
-                for cx in range(max(a.x, b.x), min(a.x + a.h, b.x + b.h)):
-                    for cy in range(max(a.y, b.y), min(a.y + a.w, b.y + b.w)):
-                        contacts.append(Contact(lower=ai, upper=bi, cell=(cx, cy)))
-    grounds = [GroundCell(i, cell) for i in indices if bricks[i].z == 0
-               for cell in bricks[i].cells()]
-
-    n_b = len(indices)
-    n_c = len(contacts)
-    n_g = len(grounds)
-    n_vars = n_c + n_g + 6 * n_b + 1
-    slack0 = n_c + n_g
+        indices = list(range(len(assembly)))
+    placed = [assembly.bricks[i] for i in indices]
+    n_b = len(placed)
+    owner = np.full((GRID, GRID, GRID + 2), -1)
+    owner[:, :, 0] = n_b
+    for k, b in enumerate(placed):
+        owner[b.x:b.x + b.h, b.y:b.y + b.w, b.z + 1] = k
+    cx, cy, cz = np.nonzero((owner[:, :, :-1] >= 0) & (owner[:, :, 1:] >= 0))
+    lower, upper = owner[cx, cy, cz], owner[cx, cy, cz + 1]
+    order = np.lexsort((cy, cx, upper, lower))
+    lower, upper, cx, cy = lower[order], upper[order], cx[order], cy[order]
+    n_c = int(np.count_nonzero(lower < n_b))
+    slack0 = len(lower)  # contact and ground force columns come first
+    n_vars = slack0 + 6 * n_b + 1
     t_var = n_vars - 1
 
-    A_eq = np.zeros((3 * n_b, n_vars))
+    x, y, h, w = np.array([(b.x, b.y, b.h, b.w) for b in placed]).reshape(-1, 4).T
+    centroid_x, centroid_y = x + h / 2.0, y + w / 2.0
+
+    def point_forces(k, px, py):
+        """Rows and values of unit upward forces at the centres of cells
+        (px, py) of the bricks at positions k: force, moment-x (y arms) and
+        moment-y (x arms) rows."""
+        return 3 * k[:, None] + np.arange(3), np.column_stack(
+            (np.ones(len(k)), py + 0.5 - centroid_y[k], px + 0.5 - centroid_x[k]))
+
+    up_rows, up_vals = point_forces(upper, cx, cy)  # every contact and ground column
+    lo_rows, lo_vals = point_forces(lower[:n_c], cx[:n_c], cy[:n_c])
+    slack = np.arange(6 * n_b)  # row r's (+, -) slack pair is slack0 + 2r, slack0 + 2r + 1
+    rows = np.concatenate((up_rows.ravel(), lo_rows.ravel(), slack // 2))
+    cols = np.concatenate((np.repeat(np.arange(slack0), 3), np.repeat(np.arange(n_c), 3),
+                           slack0 + slack))
+    vals = np.concatenate((up_vals.ravel(), -lo_vals.ravel(), 1.0 - 2.0 * (slack % 2)))
+    stored = vals != 0.0  # zero moment arms stay unstored, as in a dense matrix's CSC
+    A_eq = csr_array((vals[stored], (rows[stored], cols[stored])), shape=(3 * n_b, n_vars))
     b_eq = np.zeros(3 * n_b)
-
-    def rows(brick_idx):
-        k = pos[brick_idx]
-        return 3 * k, 3 * k + 1, 3 * k + 2  # force, moment-x (y arms), moment-y (x arms)
-
-    def centroid(brick):
-        return brick.x + brick.h / 2.0, brick.y + brick.w / 2.0
-
-    for ci, contact in enumerate(contacts):
-        up = bricks[contact.upper]
-        lo = bricks[contact.lower]
-        px, py = contact.cell[0] + 0.5, contact.cell[1] + 0.5
-        fr, mxr, myr = rows(contact.upper)
-        cx, cy = centroid(up)
-        A_eq[fr, ci] += 1.0
-        A_eq[mxr, ci] += py - cy
-        A_eq[myr, ci] += px - cx
-        fr, mxr, myr = rows(contact.lower)
-        cx, cy = centroid(lo)
-        A_eq[fr, ci] -= 1.0
-        A_eq[mxr, ci] -= py - cy
-        A_eq[myr, ci] -= px - cx
-
-    for gi, ground in enumerate(grounds):
-        brick = bricks[ground.brick]
-        px, py = ground.cell[0] + 0.5, ground.cell[1] + 0.5
-        fr, mxr, myr = rows(ground.brick)
-        cx, cy = centroid(brick)
-        col = n_c + gi
-        A_eq[fr, col] += 1.0
-        A_eq[mxr, col] += py - cy
-        A_eq[myr, col] += px - cx
-
-    for brick_idx in indices:
-        fr, mxr, myr = rows(brick_idx)
-        base = slack0 + 6 * pos[brick_idx]
-        for offset, row in ((0, fr), (2, mxr), (4, myr)):
-            A_eq[row, base + offset] += 1.0
-            A_eq[row, base + offset + 1] -= 1.0
-        b_eq[fr] = bricks[brick_idx].area * params.brick_weight_per_cell
+    b_eq[::3] = h * w * params.brick_weight_per_cell
 
     # tension bound: -phi <= t * capacity for every contact
-    A_ub = np.zeros((n_c, n_vars))
-    b_ub = np.zeros(n_c)
-    A_ub[np.arange(n_c), np.arange(n_c)] = -1.0
-    A_ub[:, t_var] = -params.clutch_tension_capacity
+    contact = np.arange(n_c)
+    A_ub = csr_array((np.repeat([-1.0, -params.clutch_tension_capacity], n_c),
+                      (np.tile(contact, 2), np.append(contact, np.full(n_c, t_var)))),
+                     shape=(n_c, n_vars))
 
     c = np.zeros(n_vars)
-    c[slack0:slack0 + 6 * n_b] = params.slack_penalty
+    c[slack0:t_var] = params.slack_penalty
     c[t_var] = 1.0
 
     # contact forces are free; ground forces, slacks and t are nonnegative
-    bounds = [(None, None)] * n_c + [(0.0, None)] * (n_g + 6 * n_b + 1)
+    bounds = [(None, None)] * n_c + [(0.0, None)] * (n_vars - n_c)
 
-    return EquilibriumProgram(indices=indices, contacts=contacts, grounds=grounds,
-                              c=c, A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub,
-                              bounds=bounds)
+    positions = np.asarray(indices, dtype=int)
+    return EquilibriumProgram(
+        indices=indices,
+        contacts=np.column_stack((positions[lower[:n_c]], positions[upper[:n_c]],
+                                  cx[:n_c], cy[:n_c])),
+        grounds=np.column_stack((positions[upper[n_c:]], cx[n_c:], cy[n_c:])),
+        c=c, A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=np.zeros(n_c), bounds=bounds)
 
 
 @dataclass
 class StabilityReport:
     scores: list[float]
-    contact_forces: list[tuple[Contact, float]] = field(default_factory=list)
-    ground_forces: list[tuple[GroundCell, float]] = field(default_factory=list)
     brick_slack: list[float] = field(default_factory=list)
     feasible: bool = True
     tension_scale: float = 0.0
@@ -264,26 +227,22 @@ def stability_scores(assembly: BrickAssembly, params: PhysicsParams | None = Non
                                  detail=result.message)
 
     x = result.x
-    n_c, n_g = len(program.contacts), len(program.grounds)
-    slack0 = n_c + n_g
+    contacts = program.contacts
+    n_c, n_g = len(contacts), len(program.grounds)
     report.tension_scale = float(x[-1])
-    report.contact_forces = [(c, float(x[i])) for i, c in enumerate(program.contacts)]
-    report.ground_forces = [(g, float(x[n_c + i])) for i, g in enumerate(program.grounds)]
 
-    utilization = [0.0] * n
-    for contact, force in report.contact_forces:
-        if force < 0.0:
-            u = -force / params.clutch_tension_capacity
-            utilization[contact.lower] = max(utilization[contact.lower], u)
-            utilization[contact.upper] = max(utilization[contact.upper], u)
+    forces = x[:n_c]
+    pulled = forces < 0.0
+    utilization = np.zeros(n)
+    for end in (0, 1):  # the lower and the upper brick of each contact
+        np.maximum.at(utilization, contacts[pulled, end],
+                      -forces[pulled] / params.clutch_tension_capacity)
+    utilization = utilization.tolist()  # scores are plain floats
 
-    for k, brick_idx in enumerate(program.indices):
-        base = slack0 + 6 * k
-        residuals = [x[base] - x[base + 1], x[base + 2] - x[base + 3], x[base + 4] - x[base + 5]]
-        worst = max(abs(r) for r in residuals)
+    split = x[n_c + n_g:-1].reshape(-1, 3, 2)  # (+, -) slack pairs per brick and row
+    for brick_idx, worst in zip(program.indices, np.abs(split[:, :, 0] - split[:, :, 1]).max(1)):
         slack[brick_idx] = worst
         if worst > params.slack_tolerance:
-            scores[brick_idx] = 0.0
             report.feasible = False
         else:
             scores[brick_idx] = max(0.0, 1.0 - utilization[brick_idx])

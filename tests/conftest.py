@@ -10,7 +10,15 @@ import numpy as np
 import pytest
 
 from brickforge.attach import decode_attachment
-from brickforge.bricks import CATALOG_SIZES, GRID, Brick, BrickAssembly, attached
+from brickforge.bricks import (
+    CATALOG_SIZES,
+    GRID,
+    Brick,
+    BrickAssembly,
+    attached,
+    connected_components,
+    footprints_overlap,
+)
 from brickforge.decode import (
     REJECT_ANCHOR,
     REJECT_BOUNDS,
@@ -31,6 +39,13 @@ from brickforge.errors import (
     TuplesAfterQueueEmptyError,
 )
 from brickforge.geometry import PointCloud, SurfaceMesh, VoxelGrid
+from brickforge.stability import (
+    _SOLVER_OPTIONS,
+    EquilibriumProgram,
+    PhysicsParams,
+    StabilityReport,
+    _solve,
+)
 from brickforge.tokenizer import NonMonotoneFWarning, SequenceStats
 from brickforge.tokens import (
     KIND_COORD,
@@ -559,6 +574,137 @@ def greedy_candidates_reference(self, target, state):
 
 def greedy_propose_reference(self, target, state, rng):
     return self._choose(*greedy_candidates_reference(self, target, state), rng)
+
+
+def assemble_equilibrium_program_reference(assembly: BrickAssembly, params: PhysicsParams,
+                                           indices: list[int] | None = None
+                                           ) -> EquilibriumProgram:
+    """The all-pairs, dense equilibrium LP builder, kept as the oracle for
+    the owner-grid sparse one: ``contacts`` holds (lower, upper, (cx, cy))
+    and ``grounds`` (brick, (cx, cy)) tuples, and ``A_eq`` / ``A_ub`` are
+    dense arrays."""
+    bricks = assembly.bricks
+    if indices is None:
+        indices = list(range(len(bricks)))
+    pos = {brick_idx: k for k, brick_idx in enumerate(indices)}
+
+    contacts = []
+    for ai in indices:
+        for bi in indices:
+            a, b = bricks[ai], bricks[bi]
+            if b.z == a.z + 1 and footprints_overlap(a, b):
+                for cx in range(max(a.x, b.x), min(a.x + a.h, b.x + b.h)):
+                    for cy in range(max(a.y, b.y), min(a.y + a.w, b.y + b.w)):
+                        contacts.append((ai, bi, (cx, cy)))
+    grounds = [(i, cell) for i in indices if bricks[i].z == 0 for cell in bricks[i].cells()]
+
+    n_b = len(indices)
+    n_c = len(contacts)
+    n_g = len(grounds)
+    n_vars = n_c + n_g + 6 * n_b + 1
+    slack0 = n_c + n_g
+    t_var = n_vars - 1
+
+    A_eq = np.zeros((3 * n_b, n_vars))
+    b_eq = np.zeros(3 * n_b)
+
+    def rows(brick_idx):
+        k = pos[brick_idx]
+        return 3 * k, 3 * k + 1, 3 * k + 2  # force, moment-x (y arms), moment-y (x arms)
+
+    def centroid(brick):
+        return brick.x + brick.h / 2.0, brick.y + brick.w / 2.0
+
+    for ci, (lower, upper, cell) in enumerate(contacts):
+        up = bricks[upper]
+        lo = bricks[lower]
+        px, py = cell[0] + 0.5, cell[1] + 0.5
+        fr, mxr, myr = rows(upper)
+        cx, cy = centroid(up)
+        A_eq[fr, ci] += 1.0
+        A_eq[mxr, ci] += py - cy
+        A_eq[myr, ci] += px - cx
+        fr, mxr, myr = rows(lower)
+        cx, cy = centroid(lo)
+        A_eq[fr, ci] -= 1.0
+        A_eq[mxr, ci] -= py - cy
+        A_eq[myr, ci] -= px - cx
+
+    for gi, (brick_idx, cell) in enumerate(grounds):
+        brick = bricks[brick_idx]
+        px, py = cell[0] + 0.5, cell[1] + 0.5
+        fr, mxr, myr = rows(brick_idx)
+        cx, cy = centroid(brick)
+        col = n_c + gi
+        A_eq[fr, col] += 1.0
+        A_eq[mxr, col] += py - cy
+        A_eq[myr, col] += px - cx
+
+    for brick_idx in indices:
+        fr, mxr, myr = rows(brick_idx)
+        base = slack0 + 6 * pos[brick_idx]
+        for offset, row in ((0, fr), (2, mxr), (4, myr)):
+            A_eq[row, base + offset] += 1.0
+            A_eq[row, base + offset + 1] -= 1.0
+        b_eq[fr] = bricks[brick_idx].area * params.brick_weight_per_cell
+
+    A_ub = np.zeros((n_c, n_vars))
+    A_ub[np.arange(n_c), np.arange(n_c)] = -1.0
+    A_ub[:, t_var] = -params.clutch_tension_capacity
+    c = np.zeros(n_vars)
+    c[slack0:slack0 + 6 * n_b] = params.slack_penalty
+    c[t_var] = 1.0
+    bounds = [(None, None)] * n_c + [(0.0, None)] * (n_g + 6 * n_b + 1)
+    return EquilibriumProgram(indices=indices, contacts=contacts, grounds=grounds, c=c,
+                              A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=np.zeros(n_c),
+                              bounds=bounds)
+
+
+def stability_scores_reference(assembly: BrickAssembly,
+                               params: PhysicsParams | None = None) -> StabilityReport:
+    """The per-contact scoring loop over the dense LP, kept as the oracle
+    for the array-based ``stability_scores``."""
+    params = params or PhysicsParams()
+    n = len(assembly.bricks)
+    if n == 0:
+        return StabilityReport(scores=[], feasible=True)
+    grounded, floating = [], False
+    for comp in connected_components(assembly):
+        if any(assembly.bricks[i].z == 0 for i in comp):
+            grounded.extend(comp)
+        else:
+            floating = True
+    grounded.sort()
+    scores = [0.0] * n
+    slack = [float("inf")] * n
+    report = StabilityReport(scores=scores, brick_slack=slack, feasible=not floating)
+    if not grounded:
+        return report
+    program = assemble_equilibrium_program_reference(assembly, params, grounded)
+    result = _solve(program, _SOLVER_OPTIONS)
+    if not result.success:
+        result = _solve(program, {**_SOLVER_OPTIONS, "presolve": False})
+    assert result.success, result.message
+    x = result.x
+    n_c, n_g = len(program.contacts), len(program.grounds)
+    report.tension_scale = float(x[-1])
+    contact_forces = [(c, float(x[i])) for i, c in enumerate(program.contacts)]
+    utilization = [0.0] * n
+    for (lower, upper, _), force in contact_forces:
+        if force < 0.0:
+            u = -force / params.clutch_tension_capacity
+            utilization[lower] = max(utilization[lower], u)
+            utilization[upper] = max(utilization[upper], u)
+    for k, brick_idx in enumerate(program.indices):
+        base = n_c + n_g + 6 * k
+        residuals = [x[base] - x[base + 1], x[base + 2] - x[base + 3], x[base + 4] - x[base + 5]]
+        worst = max(abs(r) for r in residuals)
+        slack[brick_idx] = worst
+        if worst > params.slack_tolerance:
+            report.feasible = False
+        else:
+            scores[brick_idx] = max(0.0, 1.0 - utilization[brick_idx])
+    return report
 
 
 def mesh_edge_census(mesh) -> dict:

@@ -1,0 +1,77 @@
+"""Property test over every CLI input file: whatever bytes a file holds, a
+command exits 0, or exits 1 with the {"error", "detail"} envelope on
+stderr; it never raises."""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from brickforge.bricks import Brick, BrickAssembly
+from brickforge.cli import main
+from brickforge.tokenizer import tokenize
+
+# Each command with the arbitrary file as {bad}; other inputs are valid.
+COMMANDS = [
+    ["tokenize", "{bad}.json"],
+    ["detokenize", "{bad}.tok"],
+    ["detokenize", "--lenient", "{bad}.tok"],
+    ["roundtrip", "{bad}.json"],
+    ["validate", "{bad}.json"],
+    ["stability", "{bad}.json"],
+    ["export-ldraw", "{bad}.json"],
+    ["voxelize", "{bad}.xyz"],
+    ["stats", "{bad}.tok"],
+    ["score", "--samples", "64", "--target", "{bad}.xyz", "{assembly}"],
+    ["score", "--samples", "64", "--target", "{cloud}", "{bad}.json"],
+    ["prefpairs", "--samples", "64", "--target", "{cloud}", "{assembly}", "{bad}.json"],
+    ["generate", "--max-bricks", "8", "--max-rollbacks", "1", "--target", "{bad}.xyz"],
+    ["generate", "--max-bricks", "8", "--max-rollbacks", "1", "--target", "{bad}.json"],
+]
+
+ASSEMBLY = BrickAssembly((Brick(2, 4, 9, 8, 0), Brick(2, 2, 9, 9, 1)))
+VALID = [json.dumps({"bricks": [b.to_dict() for b in ASSEMBLY.bricks]}).encode(),
+         tokenize(ASSEMBLY).to_text().encode(),
+         b"0 0 0\n1 2 3\n4 1 0\n2 2 2\n",
+         b'{"shape": [20, 20, 20], "occupied": [[5, 5, 0], [5, 5, 1]]}']
+
+# Raw bytes; text over the characters the loaders parse; and valid inputs
+# with a few bytes replaced, so that many payloads get past the first check.
+PAYLOADS = st.one_of(
+    st.binary(max_size=80),
+    st.text(alphabet='{}[]":, \n-.0123456789eEnaif bricks hwxyz BOS EOS EOP XYZHWFM',
+            max_size=80).map(str.encode),
+    st.builds(lambda text, start, cut, junk: text[:start] + junk + text[start + cut:],
+              st.sampled_from(VALID), st.integers(0, 120), st.integers(0, 4),
+              st.binary(max_size=4)),
+)
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli_properties")
+    assembly = root / "assembly.json"
+    assembly.write_text(ASSEMBLY.to_json())
+    cloud = root / "cloud.xyz"
+    cloud.write_bytes(VALID[2])
+    return {"bad": str(root / "bad"), "assembly": str(assembly), "cloud": str(cloud)}
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(payload=PAYLOADS)
+def test_any_file_bytes_exit_0_or_1_with_the_envelope(argv, payload, inputs):
+    argv = [a.format(**inputs) for a in argv]
+    bad = next(a for a in argv if a.startswith(inputs["bad"]))
+    with open(bad, "wb") as handle:
+        handle.write(payload)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1)
+    if code == 1:
+        envelope = json.loads(err.getvalue().splitlines()[-1])
+        assert set(envelope) == {"error", "detail"}

@@ -137,12 +137,16 @@ def decode_outcomes(sequence: TokenSequence, decoders=DECODERS) -> tuple:
     return tuple(out)
 
 
-def test_decoders_match_full_rebuild_on_random_ids(monkeypatch):
-    rng = np.random.default_rng(20000)
-    pool = [tokenize(grow_random_assembly(rng, int(n))).ids()
-            for n in rng.integers(2, 20, size=200)]
-    sequences = [TokenSequence.from_ids(random_id_sequence(rng, pool)) for _ in range(20_000)]
-    ours = [decode_outcomes(seq) for seq in sequences]
+@pytest.fixture(scope="module")
+def seeded() -> tuple[list[TokenSequence], list[tuple]]:
+    """The seeded sequences and their ``decode_outcomes``, built and decoded
+    once for both oracle tests below."""
+    sequences = seeded_sequences()
+    return sequences, [decode_outcomes(seq) for seq in sequences]
+
+
+def test_decoders_match_full_rebuild_on_random_ids(seeded, monkeypatch):
+    sequences, ours = seeded
     monkeypatch.setattr(tokenizer, "place", place_reference)
     ref = [decode_outcomes(seq) for seq in sequences]
     assert ours == ref
@@ -169,11 +173,10 @@ def replay_outcome(replay, body) -> tuple | str:
         return err.code
 
 
-def test_decode_state_matches_the_walkers_it_replaced():
+def test_decode_state_matches_the_walkers_it_replaced(seeded):
     suffixed = 0
     replays = {"inconsistent_sequence": 0, "accepted": 0}
-    for seq in seeded_sequences():
-        (strict, lenient, (stats, stats_warned)) = decode_outcomes(seq)
+    for seq, (strict, lenient, (stats, stats_warned)) in zip(*seeded):
         (ref_strict, ref_lenient, (ref_stats, ref_stats_warned)) = decode_outcomes(
             seq, REFERENCE_DECODERS)
         assert (strict, lenient) == (ref_strict, ref_lenient)

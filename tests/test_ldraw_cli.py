@@ -348,6 +348,35 @@ class TestCli:
         assert json.loads(captured.err) == {"error": "malformed_input",
                                             "detail": f"cannot read {path}: {reason}"}
 
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["stability", "a.json"], "--clutch", "nan"),
+        (["stability", "a.json"], "--clutch", "inf"),
+        (["stability", "a.json"], "--clutch", "0"),
+        (["stability", "a.json"], "--weight", "nan"),
+        (["stability", "a.json"], "--slack-eps", "nan"),
+        (["score", "--target", "c.xyz", "a.json"], "--samples", "0"),
+        (["score", "--target", "c.xyz", "a.json"], "--weight", "-1"),
+        (["prefpairs", "--target", "c.xyz", "a.json"], "--samples", "0"),
+        (["prefpairs", "--target", "c.xyz", "a.json"], "--gap-min", "nan"),
+        (["prefpairs", "--target", "c.xyz", "a.json"], "--floor", "nan"),
+        (["generate", "--target", "t.json"], "--max-bricks", "0"),
+        (["generate", "--target", "t.json"], "--max-rollbacks", "0"),
+        (["generate", "--target", "t.json"], "--max-resamples", "0"),
+        (["generate", "--target", "t.json"], "--max-bricks", "1.5"),
+        (["generate", "--target", "t.json"], "--temperature", "nan"),
+        (["generate", "--target", "t.json"], "--clutch", "-inf"),
+        (["generate", "--target", "t.json"], "--seed", "-1"),
+        (["score", "--target", "c.xyz", "a.json"], "--seed", "-1"),
+        (["prefpairs", "--target", "c.xyz", "a.json"], "--seed", "-1"),
+    ])
+    def test_bad_numeric_flag_is_a_usage_error(self, argv, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"{flag}={value}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: " in err and repr(value) in err
+        assert "Traceback" not in err
+
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -168,6 +169,14 @@ class TestReporting:
             PhysicsParams(brick_weight_per_cell=0.0)
         with pytest.raises(ValueError):
             PhysicsParams(clutch_tension_capacity=-1.0)
+
+    @pytest.mark.parametrize("name", ["brick_weight_per_cell", "clutch_tension_capacity",
+                                      "slack_penalty", "slack_tolerance"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_params_reject_non_finite(self, name, value):
+        # nan <= 0 is False, so a plain sign check let NaN through
+        with pytest.raises(ValueError, match=name):
+            PhysicsParams(**{name: value})
 
 
 # A 150-brick assembly, (h, w, x, y, z) in the brick order a tokenize and
