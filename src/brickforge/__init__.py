@@ -39,7 +39,6 @@ from .geometry import (
 )
 from .ldraw import export_ldraw
 from .reward import (
-    DpoParams,
     PreferencePair,
     RewardBreakdown,
     build_preference_pairs,

@@ -90,6 +90,7 @@ _positive = _checked(float, lambda v: math.isfinite(v) and v > 0, "must be finit
 _finite = _checked(float, math.isfinite, "must be finite")
 _count = _checked(int, lambda v: v >= 1, "must be an integer >= 1")
 _seed = _checked(int, lambda v: v >= 0, "must be an integer >= 0")
+_samples = _checked(int, lambda v: 1 <= v <= 1 << 20, "must be an integer in [1, 1048576]")
 
 
 def _physics(args) -> PhysicsParams:
@@ -241,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="reward breakdown per candidate (JSON lines)")
     p.add_argument("--target", required=True, help="target point cloud (.xyz)")
     p.add_argument("candidates", nargs="+")
-    p.add_argument("--samples", type=_count, default=8192)
+    p.add_argument("--samples", type=_samples, default=8192)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--no-solid-fill", action="store_true")
     _add_physics_flags(p)
@@ -253,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gap-min", type=_finite, default=0.2)
     p.add_argument("--floor", type=_finite, default=1.0)
     p.add_argument("--condition", default=None)
-    p.add_argument("--samples", type=_count, default=8192)
+    p.add_argument("--samples", type=_samples, default=8192)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--no-solid-fill", action="store_true")
     _add_physics_flags(p)

@@ -343,27 +343,23 @@ class GenerateResult:
         return bool(self.report.scores) and self.report.min_score > 0.0
 
 
-def rollback(sequence: TokenSequence, assembly: BrickAssembly,
-             report: StabilityReport) -> DecodeState:
-    """Truncate to just before the tokens of the first unstable brick's
-    parent: replay the sequence once, then cut that state back.
+def rollback(state: DecodeState, report: StabilityReport) -> DecodeState:
+    """Cut ``state`` in place to just before the tokens of the first
+    unstable brick's parent and return it.
 
     When that parent is the root (or the root itself is unstable) the state
-    restarts from just after BOS.  Raises NoUnstableBrickError when every
-    score is positive and InconsistentSequenceError when the sequence does
-    not reproduce ``assembly``.
+    restarts from just after BOS.  A caller holding only tokens passes
+    ``DecodeState.replay(body)``.  Raises InconsistentSequenceError when the
+    report does not score one value per brick of ``state`` and
+    NoUnstableBrickError when every score is positive.
     """
+    if len(report.scores) != len(state.bricks):
+        raise InconsistentSequenceError(
+            f"report scores {len(report.scores)} bricks, the state holds {len(state.bricks)}")
     zeros = [i for i, s in enumerate(report.scores) if s == 0.0]
     if not zeros:
         raise NoUnstableBrickError("all per-brick scores are positive")
-    k = zeros[0]
-    tokens = sequence.tokens
-    if len(tokens) < 2 or tokens[0].kind != "BOS" or tokens[-1].kind != "EOS":
-        raise InconsistentSequenceError("sequence must be BOS ... EOS")
-    state = DecodeState.replay(list(tokens[1:-1]))
-    if tuple(state.bricks) != assembly.bricks:
-        raise InconsistentSequenceError("sequence does not decode to the given assembly")
-    parent = state.parent_of[k] if k < len(state.parent_of) else None
+    parent = state.parent_of[zeros[0]]
     state.truncate(state.tuple_start[parent] if parent else 0)
     return state
 
@@ -439,7 +435,7 @@ def generate(policy: Policy, target: VoxelGrid,
             _, assembly, sequence, report = best
             return GenerateResult(assembly, sequence, report, trace)
         body_before = len(sequence.tokens) - 2
-        state = rollback(sequence, assembly, report)
+        rollback(state, report)
         trace.rollbacks += 1
         trace.rollback_events.append(RollbackEvent(
             sequence_before=sequence,

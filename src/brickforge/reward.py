@@ -55,18 +55,6 @@ class RewardBreakdown:
                                   ("r_iou", "d_cd", "r_cd", "r_geo", "r_stable", "r_total")})
 
 
-@dataclass(frozen=True)
-class DpoParams:
-    beta: float = 1.0
-    sft_weight: float = 1.0
-
-    def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-        if self.sft_weight < 0:
-            raise ValueError("sft_weight must be nonnegative")
-
-
 def compose_reward(r_iou: float, d_cd: float, r_stable: float) -> RewardBreakdown:
     """Assemble a breakdown from the three measured quantities."""
     r_cd = max(1.0 - CD_REWARD_SLOPE * d_cd, 0.0)
@@ -156,6 +144,8 @@ def dpo_loss(logp_w_policy: float, logp_l_policy: float,
     _require_finite(logp_w_policy, logp_l_policy, logp_w_ref, logp_l_ref, reward_gap, beta)
     if reward_gap < 0:
         raise ValueError("reward_gap must be nonnegative")
+    if beta <= 0:
+        raise ValueError("beta must be positive")
     margin = beta * ((logp_w_policy - logp_w_ref) - (logp_l_policy - logp_l_ref))
     return -reward_gap * _log_sigmoid(margin)
 
@@ -172,4 +162,6 @@ def sft_loss(token_logps) -> float:
 def post_loss(dpo: float, sft: float, sft_weight: float = 1.0) -> float:
     """Combined post-training objective: dpo + sft_weight * sft."""
     _require_finite(dpo, sft, sft_weight)
+    if sft_weight < 0:
+        raise ValueError("sft_weight must be nonnegative")
     return dpo + sft_weight * sft

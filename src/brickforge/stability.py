@@ -59,10 +59,6 @@ class EquilibriumProgram:
     b_ub: np.ndarray
     bounds: list[tuple[float | None, float | None]]
 
-    @property
-    def n_constraints(self) -> int:
-        return len(self.indices) * 9
-
 
 def assemble_equilibrium_program(assembly: BrickAssembly, params: PhysicsParams,
                                  indices: list[int] | None = None) -> EquilibriumProgram:

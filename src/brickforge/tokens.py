@@ -69,17 +69,10 @@ CODEBOOK_SIZE = _M_BASE + M_RANGE        # 65
 
 
 def token_to_id(token: Token) -> int:
-    if token.kind in _SPECIALS:
-        return _SPECIALS[token.kind]
-    if token.kind == KIND_COORD:
-        return _COORD_BASE + token.value
-    if token.kind == KIND_SIZE:
-        return _SIZE_BASE + _SIZE_INDEX[token.value]
-    if token.kind == KIND_F:
-        return _F_BASE + token.value
-    if token.kind == KIND_M:
-        return _M_BASE + token.value
-    raise MalformedSequenceError(f"unknown token kind {token.kind}")
+    tid = _ID_BY_TOKEN.get((token.kind, token.value))
+    if tid is None:
+        raise MalformedSequenceError(f"token {token!r} is not in the codebook")
+    return tid
 
 
 def token_from_id(tid: int) -> Token:
@@ -122,6 +115,7 @@ def baseline_codebook() -> list[CodebookEntry]:
 
 
 _TOKEN_BY_ID = tuple(Token(e.kind, e.value) for e in codebook())
+_ID_BY_TOKEN = {(t.kind, t.value): tid for tid, t in enumerate(_TOKEN_BY_ID)}
 BOS, EOS, PAD, EOP = _TOKEN_BY_ID[:4]
 
 # Every canonical text field (``X5``, ``H2``, ``F17``, ``EOP``, ...) and its

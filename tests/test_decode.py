@@ -151,13 +151,15 @@ class TestRollback:
         a = BrickAssembly((Brick(2, 2, 0, 0, 0),))
         seq = tokenize(a)
         with pytest.raises(NoUnstableBrickError):
-            rollback(seq, a, StabilityReport(scores=[1.0]))
+            rollback(DecodeState.replay(list(seq.tokens)[1:-1]),
+                     StabilityReport(scores=[1.0]))
 
     def test_chain_truncates_to_parent_tuple(self):
         a = BrickAssembly((Brick(1, 1, 5, 5, 0), Brick(1, 1, 5, 5, 1),
                            Brick(1, 1, 5, 5, 2)))
         seq = tokenize(a)
-        state = rollback(seq, a, StabilityReport(scores=[1.0, 1.0, 0.0]))
+        state = rollback(DecodeState.replay(list(seq.tokens)[1:-1]),
+                         StabilityReport(scores=[1.0, 1.0, 0.0]))
         assert state.bricks == [Brick(1, 1, 5, 5, 0)]  # root survives
         assert state.current == 0
         assert state.f_floor == -1
@@ -166,7 +168,8 @@ class TestRollback:
     def test_root_child_unstable_restarts(self):
         a = BrickAssembly((Brick(1, 1, 5, 5, 0), Brick(1, 1, 5, 5, 1)))
         seq = tokenize(a)
-        state = rollback(seq, a, StabilityReport(scores=[1.0, 0.0]))
+        state = rollback(DecodeState.replay(list(seq.tokens)[1:-1]),
+                         StabilityReport(scores=[1.0, 0.0]))
         assert state.bricks == []
         assert not state.started
 
@@ -183,7 +186,8 @@ class TestRollback:
         seq = tokenize(a)
         # brick 3 is the grandchild via brick 1; its parent tuple is brick 1's,
         # the first tuple of the root group
-        state = rollback(seq, a, StabilityReport(scores=[1, 1, 1, 0.0]))
+        state = rollback(DecodeState.replay(list(seq.tokens)[1:-1]),
+                         StabilityReport(scores=[1, 1, 1, 0.0]))
         assert state.bricks == [a.bricks[0]]
         assert state.current == 0
 
@@ -214,7 +218,8 @@ class TestRollback:
             Brick(8, 1, 8, 5, 2),
         ))
         seq = tokenize(a)
-        state = rollback(seq, a, StabilityReport(scores=[1.0, 1.0, 1.0, 0.0]))
+        state = rollback(DecodeState.replay(list(seq.tokens)[1:-1]),
+                         StabilityReport(scores=[1.0, 1.0, 1.0, 0.0]))
         assert state.bricks == [a.bricks[0], a.bricks[1]]
         assert state.current == 0 and state.f_floor == 0
         assert list(state.queue) == [1]
@@ -248,7 +253,7 @@ class TestRollback:
             assert expected == event.fingerprint_after
 
 
-    def test_rollback_replays_the_sequence_once(self, monkeypatch):
+    def test_generate_with_rollbacks_never_replays(self, monkeypatch):
         calls = []
         replay = DecodeState.replay
 
@@ -257,18 +262,24 @@ class TestRollback:
             return replay(body)
 
         monkeypatch.setattr(DecodeState, "replay", staticmethod(counted))
-        a = BrickAssembly((Brick(4, 1, 5, 5, 0), Brick(1, 1, 5, 5, 1),
-                           Brick(1, 1, 8, 5, 1), Brick(8, 1, 8, 5, 2)))
-        seq = tokenize(a)
-        state = rollback(seq, a, StabilityReport(scores=[1.0, 1.0, 1.0, 0.0]))
-        assert calls == [len(seq) - 2]
-        assert state.fingerprint() == expected_rollback_fingerprint(seq, [1, 1, 1, 0.0])
+        script = ScriptedPolicy(root=(5, 5, 0, 1, 1),
+                                actions=[(0, 1, 1, 0), None, (0, 8, 1, 0), None])
+        result = generate(script, grid_with([(5, 5, 0)]),
+                          DecodeBudgets(max_resamples_per_tuple=8, max_rollbacks=4,
+                                        max_bricks=8), seed=0)
+        assert result.trace.rollbacks > 0
+        assert calls == []
+        for event in result.trace.rollback_events:
+            assert expected_rollback_fingerprint(event.sequence_before,
+                                                 event.scores_before) == event.fingerprint_after
 
-    def test_rollback_rejects_a_sequence_of_another_assembly(self):
+    def test_rollback_rejects_a_report_of_the_wrong_length(self):
         a = BrickAssembly((Brick(1, 1, 5, 5, 0), Brick(1, 1, 5, 5, 1)))
-        other = BrickAssembly((Brick(1, 1, 5, 5, 0), Brick(1, 1, 5, 5, 1), Brick(1, 1, 5, 5, 2)))
-        with pytest.raises(InconsistentSequenceError, match="does not decode to the given"):
-            rollback(tokenize(other), a, StabilityReport(scores=[1.0, 0.0]))
+        state = DecodeState.replay(list(tokenize(a).tokens)[1:-1])
+        for scores in ([0.0], [1.0, 0.0, 0.0]):
+            with pytest.raises(InconsistentSequenceError, match="report scores"):
+                rollback(state, StabilityReport(scores=scores))
+        assert len(state.bricks) == 2
 
 
 class TestReplayRejects:

@@ -355,8 +355,12 @@ class TestCli:
         (["stability", "a.json"], "--weight", "nan"),
         (["stability", "a.json"], "--slack-eps", "nan"),
         (["score", "--target", "c.xyz", "a.json"], "--samples", "0"),
+        (["score", "--target", "c.xyz", "a.json"], "--samples", "1048577"),
+        (["score", "--target", "c.xyz", "a.json"], "--samples", "100000000000000000000"),
         (["score", "--target", "c.xyz", "a.json"], "--weight", "-1"),
         (["prefpairs", "--target", "c.xyz", "a.json"], "--samples", "0"),
+        (["prefpairs", "--target", "c.xyz", "a.json"], "--samples", "1048577"),
+        (["prefpairs", "--target", "c.xyz", "a.json"], "--samples", "100000000000000000000"),
         (["prefpairs", "--target", "c.xyz", "a.json"], "--gap-min", "nan"),
         (["prefpairs", "--target", "c.xyz", "a.json"], "--floor", "nan"),
         (["generate", "--target", "t.json"], "--max-bricks", "0"),

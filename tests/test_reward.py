@@ -15,7 +15,6 @@ from brickforge.geometry import (
     voxelize_points,
 )
 from brickforge.reward import (
-    DpoParams,
     build_preference_pairs,
     compose_reward,
     dpo_loss,
@@ -179,6 +178,11 @@ class TestDpoLoss:
         with pytest.raises(ValueError):
             dpo_loss(0.0, 0.0, 0.0, 0.0, reward_gap=-0.1)
 
+    @pytest.mark.parametrize("beta", [0.0, -1.0])
+    def test_nonpositive_beta_rejected(self, beta):
+        with pytest.raises(ValueError, match="beta must be positive"):
+            dpo_loss(0.0, 0.0, 0.0, 0.0, reward_gap=1.0, beta=beta)
+
 
 class TestSftLoss:
     def test_certain_prediction(self):
@@ -208,14 +212,6 @@ class TestPostLoss:
     def test_half_weight(self):
         assert post_loss(1.0, 4.0, sft_weight=0.5) == 3.0
 
-
-class TestDpoParams:
-    def test_defaults(self):
-        p = DpoParams()
-        assert p.beta == 1.0 and p.sft_weight == 1.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DpoParams(beta=0.0)
-        with pytest.raises(ValueError):
-            DpoParams(sft_weight=-0.5)
+    def test_negative_weight_rejected(self):
+        with pytest.raises(ValueError, match="sft_weight must be nonnegative"):
+            post_loss(1.0, 4.0, sft_weight=-0.5)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from brickforge.attach import decode_attachment, encode_attachment
@@ -165,6 +167,15 @@ class TestCodebook:
     def test_id_out_of_range(self, tid):
         with pytest.raises(MalformedSequenceError, match=rf"^token id {tid} outside \[0,65\)$"):
             token_from_id(tid)
+
+    @pytest.mark.parametrize("token", [Token("COORD", 25), Token("F", 30), Token("M", -1),
+                                       Token("EOP", 5), Token("SIZE", 3)])
+    def test_token_outside_the_codebook_has_no_id(self, token):
+        with pytest.raises(MalformedSequenceError, match=rf"^token {re.escape(repr(token))} "
+                                                         r"is not in the codebook$"):
+            token_to_id(token)
+        with pytest.raises(MalformedSequenceError):
+            TokenSequence([BOS, token, EOS]).to_binary()
 
 
 class TestTokenize:
