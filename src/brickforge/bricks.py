@@ -3,7 +3,8 @@
 The workspace is a fixed 20x20x20 integer grid.  A brick occupies a single
 z layer with an axis-aligned (h, w) footprint of studs; h runs along x and
 w along y.  Two bricks are attached when they sit in adjacent z layers and
-their footprints overlap.
+their footprints overlap.  Occupancy is kept as flat bytes, so this module
+(and the tokenizer built on it) imports without numpy.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import CollisionError, MalformedInputError, OutOfBoundsError, SizeNotInLibraryError
 
@@ -82,14 +81,24 @@ def attached(a: Brick, b: Brick) -> bool:
     return abs(a.z - b.z) == 1 and footprints_overlap(a, b)
 
 
-def _stamp(occ: np.ndarray, brick: Brick) -> None:
-    """Mark ``brick``'s cells in ``occ``; raises CollisionError naming the
-    first occupied cell (x-major) when any of them is taken."""
-    block = occ[brick.x:brick.x + brick.h, brick.y:brick.y + brick.w, brick.z]
-    if block.any():
-        idx = np.argwhere(block)[0]
-        raise CollisionError((brick.x + int(idx[0]), brick.y + int(idx[1]), brick.z))
-    block[...] = True
+def _stamp(cells: bytearray, brick: Brick) -> None:
+    """Mark ``brick``'s cells in the flat grid ``cells`` (cell (x, y, z) at
+    ``(x*GRID + y)*GRID + z``); raises CollisionError naming the first
+    occupied cell (x-major), before writing any, when one of them is taken."""
+    start = (brick.x * GRID + brick.y) * GRID + brick.z
+    # One strided slice per line along the long side: at most two per brick.
+    if brick.h <= brick.w:
+        lines, step, n = range(start, start + brick.h * GRID * GRID, GRID * GRID), GRID, brick.w
+    else:
+        lines, step, n = range(start, start + brick.w * GRID, GRID), GRID * GRID, brick.h
+    for i in lines:
+        if 1 in cells[i:i + n * step:step]:
+            a, b = next((a, b) for a in range(brick.h) for b in range(brick.w)
+                        if cells[start + (a * GRID + b) * GRID])
+            raise CollisionError((brick.x + a, brick.y + b, brick.z))
+    ones = b"\x01" * n
+    for i in lines:
+        cells[i:i + n * step:step] = ones
 
 
 class BrickAssembly:
@@ -100,21 +109,21 @@ class BrickAssembly:
     """
 
     def __init__(self, bricks: tuple[Brick, ...] = ()):
-        occ = np.zeros((GRID, GRID, GRID), dtype=bool)
+        cells = bytearray(GRID ** 3)
         for brick in bricks:
-            _stamp(occ, brick)
+            _stamp(cells, brick)
         self._bricks = tuple(bricks)
-        self._occ = occ
-        self._occ.setflags(write=False)
+        self._cells = bytes(cells)
+        self._occ = None
 
     @classmethod
-    def _checked(cls, bricks: tuple[Brick, ...], occ: np.ndarray) -> "BrickAssembly":
-        """Wrap bricks whose occupancy ``occ`` the caller has already built
-        collision-free; skips the per-brick re-stamping of ``__init__``."""
+    def _checked(cls, bricks: tuple[Brick, ...], cells: bytes) -> "BrickAssembly":
+        """Wrap bricks whose flat occupancy ``cells`` the caller has already
+        built collision-free; skips the per-brick re-stamping of ``__init__``."""
         self = cls.__new__(cls)
         self._bricks = bricks
-        self._occ = occ
-        occ.setflags(write=False)
+        self._cells = cells
+        self._occ = None
         return self
 
     @property
@@ -122,8 +131,12 @@ class BrickAssembly:
         return self._bricks
 
     @property
-    def occupancy(self) -> np.ndarray:
-        """Read-only 20x20x20 boolean occupancy grid."""
+    def occupancy(self):
+        """Read-only 20x20x20 boolean numpy grid, a view of the cell bytes
+        built on first access (numpy is imported then, not before)."""
+        if self._occ is None:
+            import numpy as np
+            self._occ = np.ndarray((GRID, GRID, GRID), dtype=bool, buffer=self._cells)
         return self._occ
 
     def __len__(self) -> int:
@@ -159,9 +172,9 @@ def place(assembly: BrickAssembly, brick: Brick) -> BrickAssembly:
     SizeNotInLibraryError (from Brick validation, when given raw values) or
     CollisionError when the brick intersects an occupied cell.
     """
-    occ = assembly.occupancy.copy()
-    _stamp(occ, brick)
-    return BrickAssembly._checked(assembly.bricks + (brick,), occ)
+    cells = bytearray(assembly._cells)
+    _stamp(cells, brick)
+    return BrickAssembly._checked(assembly.bricks + (brick,), bytes(cells))
 
 
 def attachment_edges(assembly: BrickAssembly) -> set[tuple[int, int]]:

@@ -4,6 +4,10 @@ Every run with the same configuration and inputs is bit-identical in its
 outputs; all randomness flows from the --seed flag.  Domain errors exit 1
 with a JSON diagnostic envelope {"error": code, "detail": text} on stderr;
 usage errors exit 2.
+
+The commands that need numpy or scipy (stability, score, prefpairs,
+generate, voxelize) import them inside their handlers, so tokenize,
+detokenize, roundtrip, validate, export-ldraw and stats start without them.
 """
 
 from __future__ import annotations
@@ -15,17 +19,8 @@ import sys
 from pathlib import Path
 
 from .bricks import BrickAssembly, is_connected
-from .decode import (
-    DecodeBudgets,
-    GreedyGeometryPolicy,
-    UniformLegalPolicy,
-    generate,
-)
 from .errors import BrickforgeError, MalformedInputError
-from .geometry import PointCloud, VoxelGrid, voxelize_points
 from .ldraw import export_ldraw
-from .reward import build_preference_pairs, total_reward
-from .stability import PhysicsParams, stability_scores
 from .tokenizer import detokenize, detokenize_lenient, sequence_stats, tokenize
 from .tokens import TokenSequence
 
@@ -59,6 +54,7 @@ def _load_sequence(path: str) -> TokenSequence:
 
 
 def _load_target_grid(path: str, solid_fill: bool) -> VoxelGrid:
+    from .geometry import PointCloud, VoxelGrid, voxelize_points
     if path.endswith(".json"):
         return VoxelGrid.from_dict(_read(path, as_json=True))
     return voxelize_points(PointCloud.from_text(_read(path)), solid_fill)
@@ -66,6 +62,8 @@ def _load_target_grid(path: str, solid_fill: bool) -> VoxelGrid:
 
 def _scored(args):
     """(path, assembly, reward breakdown) per candidate, scored against --target."""
+    from .geometry import PointCloud
+    from .reward import total_reward
     target = PointCloud.from_text(_read(args.target))
     params = _physics(args)
     for path in args.candidates:
@@ -94,6 +92,7 @@ _samples = _checked(int, lambda v: 1 <= v <= 1 << 20, "must be an integer in [1,
 
 
 def _physics(args) -> PhysicsParams:
+    from .stability import PhysicsParams
     return PhysicsParams(brick_weight_per_cell=args.weight,
                          clutch_tension_capacity=args.clutch,
                          slack_tolerance=args.slack_eps)
@@ -144,6 +143,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_stability(args) -> int:
+    from .stability import stability_scores
     assembly = _load_assembly(args.input)
     report = stability_scores(assembly, _physics(args))
     _emit(report.to_json(), args.output)
@@ -157,6 +157,7 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_prefpairs(args) -> int:
+    from .reward import build_preference_pairs
     scored = [(tokenize(assembly), breakdown) for _, assembly, breakdown in _scored(args)]
     condition = args.condition or args.target
     for pair in build_preference_pairs(scored, gap_min=args.gap_min,
@@ -166,6 +167,7 @@ def _cmd_prefpairs(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    from .decode import DecodeBudgets, GreedyGeometryPolicy, UniformLegalPolicy, generate
     target = _load_target_grid(args.target, not args.no_solid_fill)
     if args.policy == "uniform":
         policy = UniformLegalPolicy()
@@ -190,6 +192,7 @@ def _cmd_export_ldraw(args) -> int:
 
 
 def _cmd_voxelize(args) -> int:
+    from .geometry import PointCloud, voxelize_points
     cloud = PointCloud.from_text(_read(args.input))
     grid = voxelize_points(cloud, solid_fill=not args.no_solid_fill)
     _emit(json.dumps(grid.to_dict(), indent=2) + "\n", args.output)

@@ -29,6 +29,7 @@ from .errors import (
     InconsistentSequenceError,
     MalformedInputError,
     NoUnstableBrickError,
+    PolicyProcessError,
 )
 from .geometry import VoxelGrid
 from .stability import PhysicsParams, StabilityReport, stability_scores
@@ -243,12 +244,18 @@ class SubprocessPolicy(Policy):
     """
 
     def __init__(self, command: list[str]):
-        self.proc = subprocess.Popen(command, stdin=subprocess.PIPE,
-                                     stdout=subprocess.PIPE, text=True, bufsize=1)
+        try:
+            self.proc = subprocess.Popen(command, stdin=subprocess.PIPE,
+                                         stdout=subprocess.PIPE, text=True, bufsize=1)
+        except OSError as err:  # missing executable, no permission
+            raise PolicyProcessError(f"cannot start external policy: {err}") from None
 
     def close(self):
         if self.proc.stdin:
-            self.proc.stdin.close()
+            try:
+                self.proc.stdin.close()
+            except BrokenPipeError:  # the child exited before reading its last request
+                pass
         self.proc.wait(timeout=10)
 
     def __enter__(self) -> "SubprocessPolicy":
@@ -258,11 +265,14 @@ class SubprocessPolicy(Policy):
         self.close()
 
     def _roundtrip(self, payload: dict) -> dict:
-        self.proc.stdin.write(json.dumps(payload) + "\n")
-        self.proc.stdin.flush()
+        try:
+            self.proc.stdin.write(json.dumps(payload) + "\n")
+            self.proc.stdin.flush()
+        except BrokenPipeError:
+            raise PolicyProcessError("external policy exited before reading a request") from None
         line = self.proc.stdout.readline()
         if not line:
-            raise BrickforgeError("external policy closed its output stream")
+            raise PolicyProcessError("external policy closed its output stream")
         try:
             reply = json.loads(line)
         except ValueError:

@@ -109,6 +109,11 @@ class InconsistentSequenceError(BrickforgeError):
     code = "inconsistent_sequence"
 
 
+class PolicyProcessError(BrickforgeError):
+    """An external policy process that cannot start or has gone away."""
+    code = "policy_process"
+
+
 class BudgetExhaustedError(BrickforgeError):
     code = "budget_exhausted"
 

@@ -143,13 +143,6 @@ class SurfaceMesh:
         c = self.vertices[self.triangles[:, 2]]
         return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
 
-    def enclosed_volume(self) -> float:
-        """Signed tetrahedron sum; positive for outward-oriented closed meshes."""
-        a = self.vertices[self.triangles[:, 0]]
-        b = self.vertices[self.triangles[:, 1]]
-        c = self.vertices[self.triangles[:, 2]]
-        return float(np.einsum("ij,ij->i", a, np.cross(b, c)).sum() / 6.0)
-
     def to_obj(self) -> str:
         lines = [f"v {v[0]} {v[1]} {v[2]}" for v in self.vertices]
         lines += [f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}" for t in self.triangles]

@@ -98,14 +98,22 @@ def grow_random_assembly(rng: np.random.Generator, n_bricks: int,
             return BrickAssembly(tuple(bricks))
 
 
+def stamp_reference(occ: np.ndarray, brick: Brick) -> None:
+    """The numpy ``_stamp``, kept as the oracle for the flat-bytes stamp: mark
+    ``brick``'s cells in the boolean grid ``occ``; raises CollisionError naming
+    the first occupied cell (x-major) when any of them is taken."""
+    block = occ[brick.x:brick.x + brick.h, brick.y:brick.y + brick.w, brick.z]
+    if block.any():
+        idx = np.argwhere(block)[0]
+        raise CollisionError((brick.x + int(idx[0]), brick.y + int(idx[1]), brick.z))
+    block[...] = True
+
+
 def place_reference(assembly: BrickAssembly, brick: Brick) -> BrickAssembly:
     """The full-rebuild ``place``, kept as the oracle for the one-brick stamp:
     check the new brick's cells, then re-stamp every brick into a fresh
     assembly through the validating constructor."""
-    block = assembly.occupancy[brick.x:brick.x + brick.h, brick.y:brick.y + brick.w, brick.z]
-    if block.any():
-        idx = np.argwhere(block)[0]
-        raise CollisionError((brick.x + int(idx[0]), brick.y + int(idx[1]), brick.z))
+    stamp_reference(assembly.occupancy.copy(), brick)
     return BrickAssembly(assembly.bricks + (brick,))
 
 
@@ -164,6 +172,15 @@ def _neighbor_face(occ, cell, normal, tangent):
     if not occupied(diag):
         return side, normal
     return diag, tuple(-t for t in tangent)
+
+
+def enclosed_volume(mesh: SurfaceMesh) -> float:
+    """Signed tetrahedron sum of a mesh, the watertightness oracle: positive
+    for outward-oriented closed meshes, equal to the solid's volume."""
+    a = mesh.vertices[mesh.triangles[:, 0]]
+    b = mesh.vertices[mesh.triangles[:, 1]]
+    c = mesh.vertices[mesh.triangles[:, 2]]
+    return float(np.einsum("ij,ij->i", a, np.cross(b, c)).sum() / 6.0)
 
 
 def extract_surface_reference(grid: VoxelGrid) -> SurfaceMesh:

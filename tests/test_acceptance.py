@@ -38,6 +38,7 @@ from conftest import (
     CATALOG,
     assert_watertight,
     chamfer_bruteforce,
+    enclosed_volume,
     euler_characteristic,
     expected_rollback_fingerprint,
     grow_random_assembly,
@@ -321,7 +322,7 @@ def test_c14_surface_mesh():
     except AssertionError:
         watertight = False
     chi = euler_characteristic(single)
-    volume = block.enclosed_volume()
+    volume = enclosed_volume(block)
     ok = watertight and chi == 2 and abs(volume - 8.0) / 8.0 < 1e-6
     report(14, "single voxel watertight, Euler 2; 2x2x2 volume 8", ok,
            f"chi={chi}, volume={volume:.9f}")

@@ -22,7 +22,7 @@ from brickforge.errors import (
 )
 from brickforge.tree import build_spanning_tree
 
-from conftest import CATALOG, grow_random_assembly
+from conftest import CATALOG, grow_random_assembly, stamp_reference
 
 
 def test_footprint_unit():
@@ -96,6 +96,49 @@ def test_place_then_removal_restores_occupancy(rng):
             break
     removed = BrickAssembly(extended.bricks[:-1])
     assert np.array_equal(removed.occupancy, before)
+
+
+def occupancy_reference(bricks) -> np.ndarray:
+    occ = np.zeros((GRID, GRID, GRID), dtype=bool)
+    for brick in bricks:
+        stamp_reference(occ, brick)
+    return occ
+
+
+def test_occupancy_matches_the_numpy_stamp(rng):
+    for n in (1, 5, 40, 120):
+        a = grow_random_assembly(rng, n)
+        assert a.occupancy.dtype == bool and a.occupancy.shape == (GRID, GRID, GRID)
+        assert np.array_equal(a.occupancy, occupancy_reference(a.bricks))
+        assert a.occupancy is a.occupancy  # built once per assembly
+        assert not a.occupancy.flags.writeable
+        with pytest.raises(ValueError):
+            a.occupancy[0, 0, 0] = True
+
+
+def test_collisions_name_the_cell_of_the_numpy_stamp(rng):
+    collisions = multi_cell = 0
+    for _ in range(20):
+        a = grow_random_assembly(rng, 30, max_z=4)
+        before = occupancy_reference(a.bricks)
+        for _ in range(50):
+            h, w = CATALOG[rng.integers(0, len(CATALOG))]
+            brick = Brick(h, w, int(rng.integers(0, GRID - h + 1)),
+                          int(rng.integers(0, GRID - w + 1)), int(rng.integers(0, 4)))
+            occ = before.copy()
+            try:
+                stamp_reference(occ, brick)
+            except CollisionError as err:
+                collisions += 1
+                multi_cell += before[brick.x:brick.x + h, brick.y:brick.y + w, brick.z].sum() > 1
+                for build in (lambda: place(a, brick), lambda: BrickAssembly(a.bricks + (brick,))):
+                    with pytest.raises(CollisionError) as ours:
+                        build()
+                    assert ours.value.cell == err.cell
+            else:
+                assert np.array_equal(place(a, brick).occupancy, occ)
+        assert np.array_equal(a.occupancy, before)  # failed placements left no mark
+    assert collisions > 100 and multi_cell > 50
 
 
 def test_attachment_graph_stack():

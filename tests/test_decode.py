@@ -18,10 +18,12 @@ from brickforge.decode import (
     validate_tuple,
 )
 from brickforge.errors import (
+    BudgetExhaustedError,
     CollisionError,
     InconsistentSequenceError,
     MalformedInputError,
     NoUnstableBrickError,
+    PolicyProcessError,
 )
 from brickforge.geometry import VoxelGrid, voxelize_assembly, iou
 from brickforge.stability import StabilityReport, stability_scores
@@ -319,6 +321,13 @@ class TestGenerateContracts:
         fresh = stability_scores(result.assembly)
         assert fresh.scores == result.report.scores
 
+    def test_root_out_of_bounds_exhausts_the_root_budget(self):
+        # a 2x2 root at (19, 19) leaves the workspace on every resample
+        budgets = DecodeBudgets(max_resamples_per_tuple=5)
+        with pytest.raises(BudgetExhaustedError) as err:
+            generate(ScriptedPolicy((19, 19, 0, 2, 2), []), grid_with([(4, 4, 0)]), budgets)
+        assert err.value.kind == "root_resamples"
+
 
 POLICY_SCRIPT = textwrap.dedent("""
     import json, sys
@@ -364,3 +373,15 @@ class TestSubprocessPolicy:
                 generate(policy, grid_with([(4, 4, 0)]), DecodeBudgets(8, 1, 4), seed=0)
         assert policy.proc.stdin.closed
         assert policy.proc.returncode == 0  # the child was reaped
+
+    def test_missing_executable_is_a_domain_error(self, tmp_path):
+        with pytest.raises(PolicyProcessError, match="cannot start external policy"):
+            SubprocessPolicy([str(tmp_path / "no-such-policy")])
+
+    def test_exited_child_is_a_domain_error(self):
+        with pytest.raises(PolicyProcessError, match="exited before reading a request"):
+            with SubprocessPolicy([sys.executable, "-c", "pass"]) as policy:
+                policy.proc.wait()
+                generate(policy, grid_with([(4, 4, 0)]), DecodeBudgets(8, 1, 4), seed=0)
+        assert policy.proc.stdin.closed
+        assert policy.proc.returncode == 0

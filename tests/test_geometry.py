@@ -26,6 +26,7 @@ from brickforge.geometry import (
 from conftest import (
     assert_watertight,
     chamfer_bruteforce,
+    enclosed_volume,
     euler_characteristic,
     grow_random_assembly,
 )
@@ -172,7 +173,7 @@ class TestSurfaceExtraction:
         mesh = extract_surface(VoxelGrid(occ))
         assert_watertight(mesh)
         assert euler_characteristic(mesh) == 2
-        assert mesh.enclosed_volume() == pytest.approx(1.0, rel=1e-9)
+        assert enclosed_volume(mesh) == pytest.approx(1.0, rel=1e-9)
 
     def test_2x2x2_block_volume(self):
         occ = np.zeros((20, 20, 20), bool)
@@ -180,7 +181,7 @@ class TestSurfaceExtraction:
         mesh = extract_surface(VoxelGrid(occ))
         assert_watertight(mesh)
         assert euler_characteristic(mesh) == 2
-        assert mesh.enclosed_volume() == pytest.approx(8.0, rel=1e-6)
+        assert enclosed_volume(mesh) == pytest.approx(8.0, rel=1e-6)
 
     def test_diagonal_edge_contact_is_manifold(self):
         # two voxels sharing only an edge: the classic pinched configuration
@@ -189,7 +190,7 @@ class TestSurfaceExtraction:
         occ[4, 4, 3] = True
         mesh = extract_surface(VoxelGrid(occ))
         assert_watertight(mesh)
-        assert mesh.enclosed_volume() == pytest.approx(2.0, rel=1e-9)
+        assert enclosed_volume(mesh) == pytest.approx(2.0, rel=1e-9)
 
     def test_corner_contact_is_manifold(self):
         occ = np.zeros((20, 20, 20), bool)
@@ -203,7 +204,7 @@ class TestSurfaceExtraction:
             occ = rng.random((20, 20, 20)) < density
             mesh = extract_surface(VoxelGrid(occ))
             assert_watertight(mesh)
-            assert mesh.enclosed_volume() == pytest.approx(float(occ.sum()), rel=1e-9)
+            assert enclosed_volume(mesh) == pytest.approx(float(occ.sum()), rel=1e-9)
 
     def test_no_degenerate_triangles(self, rng):
         occ = rng.random((20, 20, 20)) < 0.4

@@ -1,5 +1,6 @@
-"""Importing the package loads no scipy module, so the commands that never
-solve an LP or build a kd-tree start without paying for scipy's import."""
+"""Importing the package loads neither scipy nor numpy, so the commands that
+never solve an LP, build a kd-tree or touch a voxel grid start without paying
+for either import."""
 
 import os
 import re
@@ -9,8 +10,39 @@ from pathlib import Path
 
 import pytest
 
+import brickforge
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 SCIPY_MODULES = "[m for m in sys.modules if m.startswith('scipy')]"
+NUMPY_MODULES = "[m for m in sys.modules if m.startswith('numpy')]"
+
+# Every name the package exported before the lazy imports, pinned.
+EXPORTS = """
+    AttachmentCode decode_attachment encode_attachment
+    BASE_SIZES CATALOG_SIZES GRID Brick BrickAssembly attachment_edges footprint
+    is_connected place
+    DecodeBudgets GenerateResult GreedyGeometryPolicy Policy ScriptedPolicy
+    SubprocessPolicy UniformLegalPolicy generate rollback validate_tuple
+    PointCloud SurfaceMesh VoxelGrid chamfer extract_surface iou normalize_cloud
+    sample_surface voxelize_assembly voxelize_points
+    export_ldraw
+    PreferencePair RewardBreakdown build_preference_pairs compose_reward dpo_loss
+    post_loss sft_loss total_reward
+    PhysicsParams StabilityReport assemble_equilibrium_program r_stable
+    stability_scores
+    DecodeState detokenize detokenize_lenient sequence_stats tokenize
+    CODEBOOK_SIZE Token TokenSequence baseline_codebook codebook
+    AttachmentTree build_spanning_tree
+""".split()
+
+LIGHT_COMMANDS = [
+    ["tokenize", "a.json", "-o", "a.tok"],
+    ["detokenize", "a.tok"],
+    ["roundtrip", "a.json"],
+    ["validate", "a.json"],
+    ["export-ldraw", "a.json"],
+    ["stats", "a.tok"],
+]
 
 
 def run_python(code: str, cwd: Path) -> str:
@@ -20,30 +52,51 @@ def run_python(code: str, cwd: Path) -> str:
     return proc.stdout.strip()
 
 
+def run_command(argv: list[str], modules: str, cwd: Path) -> str:
+    """Exit code of ``main(argv)`` in a fresh process, then ``modules``."""
+    (cwd / "a.json").write_text(
+        '{"bricks": [{"h": 2, "w": 4, "x": 9, "y": 8, "z": 0},'
+        ' {"h": 2, "w": 2, "x": 9, "y": 9, "z": 1}]}')
+    (cwd / "a.tok").write_text("BOS X9 Y8 Z0 H2 W4 EOS\n")
+    (cwd / "c.xyz").write_text("0 0 0\n1 2 3\n4 1 0\n")
+    code = (f"import contextlib, io, sys\nfrom brickforge.cli import main\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main({argv!r})\nprint(code, {modules})")
+    return run_python(code, cwd)
+
+
 @pytest.mark.parametrize("module", ["brickforge", "brickforge.cli"])
 def test_import_loads_no_scipy(module, tmp_path):
     assert run_python(f"import sys, {module}; print({SCIPY_MODULES})", tmp_path) == "[]"
 
 
-@pytest.mark.parametrize("argv", [
-    ["tokenize", "a.json", "-o", "a.tok"],
-    ["detokenize", "a.tok"],
-    ["roundtrip", "a.json"],
-    ["validate", "a.json"],
-    ["export-ldraw", "a.json"],
-    ["stats", "a.tok"],
-    ["voxelize", "c.xyz"],
-])
+@pytest.mark.parametrize("module", ["brickforge", "brickforge.cli"])
+def test_import_loads_no_numpy(module, tmp_path):
+    assert run_python(f"import sys, {module}; print({NUMPY_MODULES})", tmp_path) == "[]"
+
+
+@pytest.mark.parametrize("argv", LIGHT_COMMANDS + [["voxelize", "c.xyz"]])
 def test_commands_without_lp_or_chamfer_load_no_scipy(argv, tmp_path):
-    (tmp_path / "a.json").write_text(
-        '{"bricks": [{"h": 2, "w": 4, "x": 9, "y": 8, "z": 0},'
-        ' {"h": 2, "w": 2, "x": 9, "y": 9, "z": 1}]}')
-    (tmp_path / "a.tok").write_text("BOS X9 Y8 Z0 H2 W4 EOS\n")
-    (tmp_path / "c.xyz").write_text("0 0 0\n1 2 3\n4 1 0\n")
-    code = (f"import contextlib, io, sys\nfrom brickforge.cli import main\n"
-            f"with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    code = main({argv!r})\nprint(code, {SCIPY_MODULES})")
-    assert run_python(code, tmp_path) == "0 []"
+    assert run_command(argv, SCIPY_MODULES, tmp_path) == "0 []"
+
+
+@pytest.mark.parametrize("argv", LIGHT_COMMANDS)
+def test_light_commands_load_no_numpy(argv, tmp_path):
+    assert run_command(argv, NUMPY_MODULES, tmp_path) == "0 []"
+
+
+def test_every_export_resolves_and_is_listed():
+    assert sorted(brickforge.__all__) == sorted(EXPORTS)
+    listed = dir(brickforge)
+    for name in EXPORTS:
+        assert getattr(brickforge, name) is not None, name
+        assert name in listed, name
+    star: dict = {}
+    exec("from brickforge import *", star)
+    assert set(EXPORTS) <= set(star)
+    assert brickforge.generate is brickforge.decode.generate
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        brickforge.no_such_name
 
 
 def test_no_source_file_imports_ndimage():
