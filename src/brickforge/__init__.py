@@ -17,7 +17,6 @@ from .bricks import (
     Brick,
     BrickAssembly,
     attachment_edges,
-    footprint,
     is_connected,
     place,
 )
@@ -35,8 +34,7 @@ _LAZY = {name: module for module, names in {
                 "normalize_cloud sample_surface voxelize_assembly voxelize_points",
     "reward": "PreferencePair RewardBreakdown build_preference_pairs compose_reward "
               "dpo_loss post_loss sft_loss total_reward",
-    "stability": "PhysicsParams StabilityReport assemble_equilibrium_program r_stable "
-                 "stability_scores",
+    "stability": "PhysicsParams StabilityReport assemble_equilibrium_program stability_scores",
 }.items() for name in names.split()}
 
 __all__ = [name for name, value in list(globals().items())

@@ -66,11 +66,6 @@ class Brick:
         return Brick(*values)
 
 
-def footprint(brick: Brick) -> set[tuple[int, int]]:
-    """Footprint of a brick as a set of (cx, cy) cells; |result| = h*w."""
-    return set(brick.cells())
-
-
 def footprints_overlap(a: Brick, b: Brick) -> bool:
     return (a.x < b.x + b.h and b.x < a.x + a.h
             and a.y < b.y + b.w and b.y < a.y + a.w)

@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import functools
 import json
+import os
+import select
 import subprocess
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +46,9 @@ REJECT_ANCHOR = "anchor_out_of_range"
 REJECT_NON_MONOTONE = "non_monotone_f"
 REJECT_BOUNDS = "out_of_bounds"
 REJECT_COLLISION = "collision"
+
+REPLY_TIMEOUT_S = 60.0  # SubprocessPolicy: the longest wait for one reply line
+CLOSE_GRACE_S = 10.0    # SubprocessPolicy.close: the wait for the child to exit
 
 _CATALOG_ORDERED = tuple(sorted(CATALOG_SIZES))
 _TOTAL_ANCHORS = sum(h * w for h, w in _CATALOG_ORDERED)  # 85 over the 14 rotated footprints
@@ -209,10 +215,9 @@ class ScriptedPolicy(Policy):
     Intended for tests and adversarial scenarios; ignores the rng.
     """
 
-    def __init__(self, root: tuple[int, int, int, int, int], actions, cycle: bool = True):
+    def __init__(self, root: tuple[int, int, int, int, int], actions):
         self.root = root
         self.actions = list(actions)
-        self.cycle = cycle
         self._cursor = 0
 
     def propose_root(self, target, rng):
@@ -221,11 +226,7 @@ class ScriptedPolicy(Policy):
     def propose(self, target, state, rng):
         if not self.actions:
             return None
-        if self._cursor >= len(self.actions):
-            if not self.cycle:
-                return None
-            self._cursor = 0
-        action = self.actions[self._cursor]
+        action = self.actions[self._cursor % len(self.actions)]
         self._cursor += 1
         return action
 
@@ -239,24 +240,30 @@ class SubprocessPolicy(Policy):
     Replies: {"action": "tuple", "f":, "h":, "w":, "m":} or
     {"action": "eop"} or {"action": "root", "x":, "y":, "z":, "h":, "w":},
     with int fields; any other reply raises MalformedInputError.  All
-    validation stays in the harness.  Usable as a context manager that
-    closes the child on exit.
+    validation stays in the harness.  A reply that takes longer than
+    REPLY_TIMEOUT_S raises PolicyProcessError and kills the child.  Usable
+    as a context manager that closes the child on exit.
     """
 
     def __init__(self, command: list[str]):
         try:
             self.proc = subprocess.Popen(command, stdin=subprocess.PIPE,
-                                         stdout=subprocess.PIPE, text=True, bufsize=1)
+                                         stdout=subprocess.PIPE)
         except OSError as err:  # missing executable, no permission
             raise PolicyProcessError(f"cannot start external policy: {err}") from None
 
     def close(self):
-        if self.proc.stdin:
-            try:
-                self.proc.stdin.close()
-            except BrokenPipeError:  # the child exited before reading its last request
-                pass
-        self.proc.wait(timeout=10)
+        """Close the child's stdin and reap it, killing it after CLOSE_GRACE_S."""
+        try:
+            self.proc.stdin.close()
+        except BrokenPipeError:  # the child exited before reading its last request
+            pass
+        try:
+            self.proc.wait(timeout=CLOSE_GRACE_S)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
+        self.proc.stdout.close()
 
     def __enter__(self) -> "SubprocessPolicy":
         return self
@@ -264,13 +271,27 @@ class SubprocessPolicy(Policy):
     def __exit__(self, *exc_info):
         self.close()
 
+    def _readline(self) -> str:
+        """One reply line, read a byte at a time so that no byte sits unseen
+        by ``select`` in a buffer; a child silent for REPLY_TIMEOUT_S is killed."""
+        deadline, line, fd = time.monotonic() + REPLY_TIMEOUT_S, b"", self.proc.stdout.fileno()
+        while not line.endswith(b"\n"):
+            if not select.select([fd], [], [], max(0.0, deadline - time.monotonic()))[0]:
+                self.proc.kill()
+                self.proc.wait()
+                raise PolicyProcessError(f"external policy sent no reply within {REPLY_TIMEOUT_S} s")
+            if not (byte := os.read(fd, 1)):  # end of stream
+                break
+            line += byte
+        return line.decode(errors="replace")
+
     def _roundtrip(self, payload: dict) -> dict:
         try:
-            self.proc.stdin.write(json.dumps(payload) + "\n")
+            self.proc.stdin.write(json.dumps(payload).encode() + b"\n")
             self.proc.stdin.flush()
         except BrokenPipeError:
             raise PolicyProcessError("external policy exited before reading a request") from None
-        line = self.proc.stdout.readline()
+        line = self._readline()
         if not line:
             raise PolicyProcessError("external policy closed its output stream")
         try:
@@ -315,11 +336,9 @@ class SubprocessPolicy(Policy):
 
 @dataclass
 class RollbackEvent:
-    sequence_before: TokenSequence
-    scores_before: list[float]
+    """How far one rollback cut the sequence body back."""
     body_len_before: int
     body_len_after: int
-    fingerprint_after: tuple
 
 
 @dataclass
@@ -444,13 +463,6 @@ def generate(policy: Policy, target: VoxelGrid,
             trace.budget_exhausted = "rollbacks"
             _, assembly, sequence, report = best
             return GenerateResult(assembly, sequence, report, trace)
-        body_before = len(sequence.tokens) - 2
         rollback(state, report)
         trace.rollbacks += 1
-        trace.rollback_events.append(RollbackEvent(
-            sequence_before=sequence,
-            scores_before=list(report.scores),
-            body_len_before=body_before,
-            body_len_after=len(state.body),
-            fingerprint_after=state.fingerprint(),
-        ))
+        trace.rollback_events.append(RollbackEvent(len(sequence) - 2, len(state.body)))

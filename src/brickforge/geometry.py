@@ -79,7 +79,6 @@ class VoxelGrid:
     """A fixed 20x20x20 boolean occupancy grid."""
 
     occupancy: np.ndarray
-    provenance: str = "unknown"
 
     def __post_init__(self):
         self.occupancy = np.asarray(self.occupancy, dtype=bool)
@@ -87,8 +86,8 @@ class VoxelGrid:
             raise ValueError(f"grid must be {GRID}^3, got {self.occupancy.shape}")
 
     @staticmethod
-    def empty(provenance: str = "unknown") -> "VoxelGrid":
-        return VoxelGrid(np.zeros((GRID, GRID, GRID), dtype=bool), provenance)
+    def empty() -> "VoxelGrid":
+        return VoxelGrid(np.zeros((GRID, GRID, GRID), dtype=bool))
 
     def count(self) -> int:
         return int(self.occupancy.sum())
@@ -115,7 +114,7 @@ class VoxelGrid:
             if len(cell) != 3 or not all(type(v) is int and 0 <= v < GRID for v in cell):
                 raise MalformedInputError(f"occupied cell {cell} is not in the {GRID}^3 grid")
             occ[tuple(cell)] = True
-        return VoxelGrid(occ, "file")
+        return VoxelGrid(occ)
 
 
 @dataclass
@@ -143,11 +142,6 @@ class SurfaceMesh:
         c = self.vertices[self.triangles[:, 2]]
         return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
 
-    def to_obj(self) -> str:
-        lines = [f"v {v[0]} {v[1]} {v[2]}" for v in self.vertices]
-        lines += [f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}" for t in self.triangles]
-        return "\n".join(lines) + "\n"
-
 
 def voxelize_points(cloud: PointCloud, solid_fill: bool = True) -> VoxelGrid:
     """Register a point cloud to the workspace grid.
@@ -173,7 +167,7 @@ def voxelize_points(cloud: PointCloud, solid_fill: bool = True) -> VoxelGrid:
     occ[cells[:, 0], cells[:, 1], cells[:, 2]] = True
     if solid_fill:
         occ = _fill_holes(occ)
-    return VoxelGrid(occ, "from-points")
+    return VoxelGrid(occ)
 
 
 def _fill_holes(occ: np.ndarray) -> np.ndarray:
@@ -194,7 +188,7 @@ def _fill_holes(occ: np.ndarray) -> np.ndarray:
 
 def voxelize_assembly(assembly: BrickAssembly) -> VoxelGrid:
     """Occupancy grid of an assembly: the union of its brick cells."""
-    return VoxelGrid(assembly.occupancy.copy(), "from-bricks")
+    return VoxelGrid(assembly.occupancy.copy())
 
 
 def iou(a: VoxelGrid, b: VoxelGrid) -> float:

@@ -43,8 +43,8 @@ def _brick_line(brick: Brick) -> str:
     return " ".join(fields)
 
 
-def export_ldraw(assembly: BrickAssembly, name: str = "brickforge model") -> str:
+def export_ldraw(assembly: BrickAssembly) -> str:
     """Render an assembly as an LDraw document (one type-1 line per brick)."""
-    lines = [f"0 {name}", "0 Name: model.ldr"]
+    lines = ["0 brickforge model", "0 Name: model.ldr"]
     lines += [_brick_line(b) for b in assembly.bricks]
     return "\n".join(lines) + "\n"

@@ -49,11 +49,6 @@ class RewardBreakdown:
     def to_json(self) -> str:
         return json.dumps(self.to_dict()) + "\n"
 
-    @staticmethod
-    def from_dict(data: dict) -> "RewardBreakdown":
-        return RewardBreakdown(**{k: float(data[k]) for k in
-                                  ("r_iou", "d_cd", "r_cd", "r_geo", "r_stable", "r_total")})
-
 
 def compose_reward(r_iou: float, d_cd: float, r_stable: float) -> RewardBreakdown:
     """Assemble a breakdown from the three measured quantities."""

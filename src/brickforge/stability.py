@@ -154,12 +154,6 @@ class StabilityReport:
                    "min_score": float(self.min_score) if self.scores else 0.0}
         return json.dumps(payload, indent=2) + "\n"
 
-    @staticmethod
-    def from_json(text: str) -> "StabilityReport":
-        data = json.loads(text)
-        return StabilityReport(scores=[float(s) for s in data["scores"]],
-                               feasible=bool(data["feasible"]))
-
 
 MAX_ITERATIONS = 100_000
 _SOLVER_OPTIONS = {
@@ -243,8 +237,3 @@ def stability_scores(assembly: BrickAssembly, params: PhysicsParams | None = Non
         else:
             scores[brick_idx] = max(0.0, 1.0 - utilization[brick_idx])
     return report
-
-
-def r_stable(report: StabilityReport) -> float:
-    """Minimum per-brick score; raises EmptyAssemblyError on empty reports."""
-    return report.min_score

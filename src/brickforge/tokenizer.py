@@ -234,19 +234,17 @@ class DecodeState:
 
 
 def detokenize(sequence: TokenSequence, mode: str = "strict") -> BrickAssembly:
-    """Reconstruct the assembly encoded by a sequence.
+    """Reconstruct the assembly encoded by a sequence, raising on any
+    structural violation.
 
-    Strict mode raises on any structural violation; lenient mode returns the
-    longest valid prefix assembly (see :func:`detokenize_lenient` for the
-    diagnostic).
+    ``mode`` accepts only ``"strict"``; :func:`detokenize_lenient` returns
+    the longest valid prefix assembly and a diagnostic instead.
     """
-    if mode == "strict":
-        state = DecodeState()
-        state._feed(_body(sequence), monotone=False)
-        return state.assembly()
-    if mode == "lenient":
-        return detokenize_lenient(sequence)[0]
-    raise ValueError(f"unknown mode {mode!r}")
+    if mode != "strict":
+        raise ValueError(f"unknown mode {mode!r}")
+    state = DecodeState()
+    state._feed(_body(sequence), monotone=False)
+    return state.assembly()
 
 
 def detokenize_lenient(sequence: TokenSequence) -> tuple[BrickAssembly, str | None]:

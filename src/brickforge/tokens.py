@@ -125,6 +125,9 @@ _TOKEN_BY_TEXT.update({f"{label}{v}": coord(v) for label in "XYZC" for v in rang
 _TOKEN_BY_TEXT.update({f"{label}{v}": size(v) for label in "HWS" for v in SIZE_VALUES})
 _TOKEN_BY_TEXT.update({f"F{v}": f_token(v) for v in range(F_RANGE)})
 _TOKEN_BY_TEXT.update({f"M{v}": m_token(v) for v in range(M_RANGE)})
+# The token constructor of each field label, for noncanonical fields (``X05``).
+_TOKEN_BY_LABEL = {**dict.fromkeys("XYZC", coord), **dict.fromkeys("HWS", size),
+                   "F": f_token, "M": m_token}
 
 
 class TokenSequence:
@@ -201,23 +204,16 @@ class TokenSequence:
         tokens = []
         for field in text.split():
             token = _TOKEN_BY_TEXT.get(field)
-            if token is not None:
-                tokens.append(token)
-                continue
-            label, digits = field[0], field[1:]
-            if not digits.isdigit():
-                raise MalformedSequenceError(f"unparseable token field {field!r}")
-            v = int(digits)
-            if label in "XYZC":
-                tokens.append(coord(v))
-            elif label in "HWS":
-                tokens.append(size(v))
-            elif label == "F":
-                tokens.append(f_token(v))
-            elif label == "M":
-                tokens.append(m_token(v))
-            else:
-                raise MalformedSequenceError(f"unparseable token field {field!r}")
+            if token is None:
+                make, digits = _TOKEN_BY_LABEL.get(field[0]), field[1:]
+                try:
+                    if make is None or not (digits.isascii() and digits.isdigit()):
+                        raise ValueError
+                    value = int(digits)  # raises ValueError past int()'s digit limit
+                except ValueError:
+                    raise MalformedSequenceError(f"unparseable token field {field!r}") from None
+                token = make(value)
+            tokens.append(token)
         return TokenSequence(tokens)
 
     def to_binary(self) -> bytes:

@@ -5,10 +5,12 @@ from __future__ import annotations
 import itertools
 import warnings
 from collections import deque
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+from brickforge import decode
 from brickforge.attach import decode_attachment
 from brickforge.bricks import (
     CATALOG_SIZES,
@@ -477,6 +479,30 @@ def expected_rollback_fingerprint(sequence, scores) -> tuple:
             break
         idx += 4
     return replay_reference(tokens[:idx])
+
+
+class RollbackRecord(NamedTuple):
+    sequence_before: TokenSequence
+    scores_before: list
+    fingerprint_after: tuple
+
+
+def record_rollbacks(monkeypatch) -> list[RollbackRecord]:
+    """Wrap ``decode.rollback`` so that every cut ``generate`` makes is
+    recorded: the finished sequence and the scores before it, and the
+    state's fingerprint after it.  Returns the list the records go into,
+    in the order of ``trace.rollback_events``."""
+    records = []
+    cut = decode.rollback
+
+    def recording(state, report):
+        sequence, scores = state.finalize(), list(report.scores)
+        state = cut(state, report)
+        records.append(RollbackRecord(sequence, scores, state.fingerprint()))
+        return state
+
+    monkeypatch.setattr(decode, "rollback", recording)
+    return records
 
 
 def chamfer_bruteforce(p: PointCloud, q: PointCloud) -> float:

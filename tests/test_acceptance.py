@@ -42,6 +42,7 @@ from conftest import (
     euler_characteristic,
     expected_rollback_fingerprint,
     grow_random_assembly,
+    record_rollbacks,
 )
 
 
@@ -228,7 +229,7 @@ def test_c11_constrained_validity_500():
            valid == 500 and elapsed < 60.0, f"{valid}/500 in {elapsed:.1f}s")
 
 
-def test_c12_rollback_replay_equivalence():
+def test_c12_rollback_replay_equivalence(monkeypatch):
     runs = 0
     events = 0
     ok = True
@@ -236,19 +237,24 @@ def test_c12_rollback_replay_equivalence():
                             max_bricks=8)
     target = VoxelGrid(np.zeros((GRID, GRID, GRID), dtype=bool))
     target.occupancy[0, 0, 0] = True
+    records = record_rollbacks(monkeypatch)
     for i in range(100):
         x, y = 1 + i % 10, 1 + i // 10
         script = ScriptedPolicy(root=(x, y, 0, 1, 1),
                                 actions=[(0, 1, 1, 0), None, (0, 8, 1, 0), None])
+        records.clear()
         result = generate(script, target, budgets, seed=i)
         runs += 1
         ok = ok and result.trace.rollbacks > 0
-        for event in result.trace.rollback_events:
+        ok = ok and len(records) == len(result.trace.rollback_events)
+        for event, record in zip(result.trace.rollback_events, records):
             events += 1
             ok = ok and event.body_len_after < event.body_len_before
-            expected = expected_rollback_fingerprint(event.sequence_before,
-                                                     event.scores_before)
-            ok = ok and expected == event.fingerprint_after
+            ok = ok and event.body_len_before == len(record.sequence_before) - 2
+            ok = ok and event.body_len_after == len(record.fingerprint_after[-1])
+            expected = expected_rollback_fingerprint(record.sequence_before,
+                                                     record.scores_before)
+            ok = ok and expected == record.fingerprint_after
     report(12, "rollback equals from-scratch replay and strictly shortens",
            ok, f"{events} rollbacks across {runs} runs")
 

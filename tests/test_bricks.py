@@ -8,7 +8,6 @@ from brickforge.bricks import (
     BrickAssembly,
     attached,
     attachment_edges,
-    footprint,
     is_connected,
     place,
     root_index,
@@ -26,18 +25,18 @@ from conftest import CATALOG, grow_random_assembly, stamp_reference
 
 
 def test_footprint_unit():
-    assert footprint(Brick(1, 1, 0, 0, 0)) == {(0, 0)}
+    assert set(Brick(1, 1, 0, 0, 0).cells()) == {(0, 0)}
 
 
 def test_footprint_2x4():
-    cells = footprint(Brick(2, 4, 3, 5, 2))
+    cells = set(Brick(2, 4, 3, 5, 2).cells())
     assert cells == {(x, y) for x in (3, 4) for y in (5, 6, 7, 8)}
     assert len(cells) == 8
 
 
 def test_footprint_boundary():
     # an 8-long footprint along x ending exactly at the workspace edge
-    cells = footprint(Brick(8, 1, 12, 0, 0))
+    cells = set(Brick(8, 1, 12, 0, 0).cells())
     assert cells == {(x, 0) for x in range(12, 20)}
 
 
@@ -46,7 +45,7 @@ def test_footprint_size_law(rng):
         h, w = CATALOG[rng.integers(0, len(CATALOG))]
         b = Brick(h, w, int(rng.integers(0, GRID - h + 1)),
                   int(rng.integers(0, GRID - w + 1)), int(rng.integers(0, GRID)))
-        cells = footprint(b)
+        cells = set(b.cells())
         assert len(cells) == h * w
         assert all(0 <= cx < GRID and 0 <= cy < GRID for cx, cy in cells)
 
@@ -157,7 +156,7 @@ def test_attachment_graph_three_bricks_vs_bruteforce():
     for i in range(3):
         for j in range(i + 1, 3):
             bi, bj = a.bricks[i], a.bricks[j]
-            if abs(bi.z - bj.z) == 1 and footprint(bi) & footprint(bj):
+            if abs(bi.z - bj.z) == 1 and set(bi.cells()) & set(bj.cells()):
                 expected.add((i, j))
     assert attachment_edges(a) == expected == {(0, 1), (0, 2)}
 

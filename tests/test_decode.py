@@ -1,10 +1,12 @@
 import re
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
 
+from brickforge import decode
 from brickforge.bricks import Brick, BrickAssembly
 from brickforge.decode import (
     DecodeBudgets,
@@ -30,7 +32,7 @@ from brickforge.stability import StabilityReport, stability_scores
 from brickforge.tokenizer import NonMonotoneFWarning, detokenize, tokenize
 from brickforge.tokens import TokenSequence
 
-from conftest import expected_rollback_fingerprint
+from conftest import expected_rollback_fingerprint, record_rollbacks
 
 
 def grid_with(cells):
@@ -193,7 +195,7 @@ class TestRollback:
         assert state.bricks == [a.bricks[0]]
         assert state.current == 0
 
-    def test_mid_group_cut_restores_f_floor(self):
+    def test_mid_group_cut_restores_f_floor(self, monkeypatch):
         # root group: child at f=0, then child at f=3 whose own child is an
         # unstable cantilever; the cut lands between the two root tuples, so
         # the resumed state is mid-group with the f floor at 0
@@ -201,16 +203,19 @@ class TestRollback:
                                 actions=[(0, 1, 1, 0), (3, 1, 1, 0), None,
                                          None, (0, 8, 1, 0), None])
         target = grid_with([(5, 5, 0)])
+        records = record_rollbacks(monkeypatch)
         result = generate(script, target,
                           DecodeBudgets(max_resamples_per_tuple=4,
                                         max_rollbacks=1, max_bricks=6), seed=0)
         assert result.trace.rollbacks == 1
-        event = result.trace.rollback_events[0]
-        bricks, parents, queue, current, floor, body = event.fingerprint_after
+        [event], [record] = result.trace.rollback_events, records
+        bricks, parents, queue, current, floor, body = record.fingerprint_after
         assert bricks == (Brick(4, 1, 5, 5, 0), Brick(1, 1, 5, 5, 1))
         assert current == 0 and floor == 0 and queue == (1,)
-        assert expected_rollback_fingerprint(event.sequence_before,
-                                             event.scores_before) == event.fingerprint_after
+        assert expected_rollback_fingerprint(record.sequence_before,
+                                             record.scores_before) == record.fingerprint_after
+        assert event.body_len_before == len(record.sequence_before) - 2
+        assert event.body_len_after == len(body)
 
     def test_public_rollback_mid_group(self):
         a = BrickAssembly((
@@ -237,22 +242,26 @@ class TestRollback:
             via_replay = DecodeState.replay(list(seq.tokens)[1:-1])
             assert tuple(via_replay.bricks) == via_detok.bricks
 
-    def test_scripted_unstable_rollback_and_replay(self):
+    def test_scripted_unstable_rollback_and_replay(self, monkeypatch):
         # the script rebuilds the same single-stud cantilever forever
         script = ScriptedPolicy(root=(5, 5, 0, 1, 1),
                                 actions=[(0, 1, 1, 0), None, (0, 8, 1, 0), None])
         target = grid_with([(5, 5, 0)])
         budgets = DecodeBudgets(max_resamples_per_tuple=8, max_rollbacks=4,
                                 max_bricks=8)
+        records = record_rollbacks(monkeypatch)
         result = generate(script, target, budgets, seed=0)
         assert result.trace.rollbacks > 0
         assert result.stable or result.trace.budget_exhausted == "rollbacks"
-        for event in result.trace.rollback_events:
+        assert len(records) == len(result.trace.rollback_events)
+        for event, record in zip(result.trace.rollback_events, records):
             assert event.body_len_after < event.body_len_before
+            assert event.body_len_before == len(record.sequence_before) - 2
+            assert event.body_len_after == len(record.fingerprint_after[-1])
             # replay-equivalence against the independent state machine
-            expected = expected_rollback_fingerprint(event.sequence_before,
-                                                     event.scores_before)
-            assert expected == event.fingerprint_after
+            expected = expected_rollback_fingerprint(record.sequence_before,
+                                                     record.scores_before)
+            assert expected == record.fingerprint_after
 
 
     def test_generate_with_rollbacks_never_replays(self, monkeypatch):
@@ -264,6 +273,7 @@ class TestRollback:
             return replay(body)
 
         monkeypatch.setattr(DecodeState, "replay", staticmethod(counted))
+        records = record_rollbacks(monkeypatch)
         script = ScriptedPolicy(root=(5, 5, 0, 1, 1),
                                 actions=[(0, 1, 1, 0), None, (0, 8, 1, 0), None])
         result = generate(script, grid_with([(5, 5, 0)]),
@@ -271,9 +281,12 @@ class TestRollback:
                                         max_bricks=8), seed=0)
         assert result.trace.rollbacks > 0
         assert calls == []
-        for event in result.trace.rollback_events:
-            assert expected_rollback_fingerprint(event.sequence_before,
-                                                 event.scores_before) == event.fingerprint_after
+        assert len(records) == len(result.trace.rollback_events)
+        for event, record in zip(result.trace.rollback_events, records):
+            assert event.body_len_before == len(record.sequence_before) - 2
+            assert event.body_len_after == len(record.fingerprint_after[-1])
+            assert expected_rollback_fingerprint(record.sequence_before,
+                                                 record.scores_before) == record.fingerprint_after
 
     def test_rollback_rejects_a_report_of_the_wrong_length(self):
         a = BrickAssembly((Brick(1, 1, 5, 5, 0), Brick(1, 1, 5, 5, 1)))
@@ -385,3 +398,50 @@ class TestSubprocessPolicy:
                 generate(policy, grid_with([(4, 4, 0)]), DecodeBudgets(8, 1, 4), seed=0)
         assert policy.proc.stdin.closed
         assert policy.proc.returncode == 0
+
+    SLEEPER = [sys.executable, "-c", "import time; time.sleep(30)"]
+
+    def test_silent_child_times_out_and_is_killed(self, monkeypatch):
+        monkeypatch.setattr(decode, "REPLY_TIMEOUT_S", 0.3)
+        monkeypatch.setattr(decode, "CLOSE_GRACE_S", 0.3)
+        start = time.monotonic()
+        with pytest.raises(PolicyProcessError, match="no reply within 0.3 s"):
+            with SubprocessPolicy(self.SLEEPER) as policy:
+                generate(policy, grid_with([(4, 4, 0)]), DecodeBudgets(8, 1, 4), seed=0)
+        assert policy.proc.poll() is not None
+        assert time.monotonic() - start < 2.0
+
+    def test_partial_reply_line_times_out(self, monkeypatch):
+        # the child writes half a line and stalls: the harness must not block
+        # in a buffered read waiting for the rest
+        monkeypatch.setattr(decode, "REPLY_TIMEOUT_S", 0.3)
+        script = ("import sys, time\nsys.stdin.readline()\n"
+                  "sys.stdout.write('{\"action\": '); sys.stdout.flush(); time.sleep(30)\n")
+        start = time.monotonic()
+        with pytest.raises(PolicyProcessError, match="no reply within"):
+            with SubprocessPolicy([sys.executable, "-c", script]) as policy:
+                generate(policy, grid_with([(4, 4, 0)]), DecodeBudgets(8, 1, 4), seed=0)
+        assert policy.proc.poll() is not None
+        assert time.monotonic() - start < 2.0
+
+    def test_buffered_replies_are_all_read(self, monkeypatch):
+        # every reply arrives in one write before the first request is read:
+        # a reader that fills a buffer and then waits on the pipe would stall
+        monkeypatch.setattr(decode, "REPLY_TIMEOUT_S", 1.0)
+        root = '{"action": "root", "x": 4, "y": 4, "z": 0, "h": 2, "w": 2}'
+        child = '{"action": "tuple", "f": 0, "h": 2, "w": 2, "m": 0}'
+        script = (f"import sys\nsys.stdout.write({root!r} + '\\n' + {child!r} + '\\n'"
+                  " + '{\"action\": \"eop\"}\\n' * 4)\nsys.stdout.flush()\n"
+                  "for line in sys.stdin: pass\n")
+        with SubprocessPolicy([sys.executable, "-c", script]) as policy:
+            result = generate(policy, grid_with([(4, 4, 0)]), DecodeBudgets(8, 1, 4), seed=0)
+        assert result.assembly.bricks == (Brick(2, 2, 4, 4, 0), Brick(2, 2, 4, 4, 1))
+        assert policy.proc.returncode == 0
+
+    def test_close_kills_a_child_that_outlives_its_grace(self, monkeypatch):
+        monkeypatch.setattr(decode, "CLOSE_GRACE_S", 0.3)
+        start = time.monotonic()
+        with SubprocessPolicy(self.SLEEPER) as policy:
+            pass
+        assert policy.proc.poll() is not None
+        assert time.monotonic() - start < 2.0

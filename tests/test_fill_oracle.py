@@ -145,5 +145,4 @@ def test_voxelized_surface_samples(n_bricks):
             cloud = sample_surface(mesh, samples, seed)
             hollow = voxelize_points(cloud, solid_fill=False).occupancy
             solid = voxelize_points(cloud, solid_fill=True)
-            assert solid.provenance == "from-points"
             assert np.array_equal(solid.occupancy, ndimage.binary_fill_holes(hollow))

@@ -105,9 +105,6 @@ class TestVoxelizePoints:
         with pytest.raises(EmptyCloudError):
             voxelize_points(PointCloud(np.zeros((0, 3))))
 
-    def test_provenance(self):
-        assert voxelize_points(sphere_cloud(1000)).provenance == "from-points"
-
 
 class TestVoxelizeAssembly:
     def test_single_brick(self):
@@ -323,19 +320,6 @@ class TestWireFormats:
         cloud = PointCloud(np.array([[0.5, 1.5, -2.0], [3.0, 0.0, 1.0]]), n)
         back = PointCloud.from_text(cloud.to_text())
         assert np.array_equal(back.normals, n)
-
-    def test_obj_export_parses(self):
-        occ = np.zeros((20, 20, 20), bool)
-        occ[0:2, 0:3, 0:1] = True
-        mesh = extract_surface(VoxelGrid(occ))
-        text = mesh.to_obj()
-        v_lines = [l for l in text.splitlines() if l.startswith("v ")]
-        f_lines = [l for l in text.splitlines() if l.startswith("f ")]
-        assert len(v_lines) == len(mesh.vertices)
-        assert len(f_lines) == mesh.n_triangles()
-        for line in f_lines:
-            idx = [int(tok) for tok in line.split()[1:]]
-            assert all(1 <= i <= len(v_lines) for i in idx)
 
     def test_grid_dict_roundtrip(self, rng):
         grid = VoxelGrid(rng.random((20, 20, 20)) < 0.2)

@@ -16,10 +16,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 SCIPY_MODULES = "[m for m in sys.modules if m.startswith('scipy')]"
 NUMPY_MODULES = "[m for m in sys.modules if m.startswith('numpy')]"
 
-# Every name the package exported before the lazy imports, pinned.
+# Every name the package exports, pinned.
 EXPORTS = """
     AttachmentCode decode_attachment encode_attachment
-    BASE_SIZES CATALOG_SIZES GRID Brick BrickAssembly attachment_edges footprint
+    BASE_SIZES CATALOG_SIZES GRID Brick BrickAssembly attachment_edges
     is_connected place
     DecodeBudgets GenerateResult GreedyGeometryPolicy Policy ScriptedPolicy
     SubprocessPolicy UniformLegalPolicy generate rollback validate_tuple
@@ -28,7 +28,7 @@ EXPORTS = """
     export_ldraw
     PreferencePair RewardBreakdown build_preference_pairs compose_reward dpo_loss
     post_loss sft_loss total_reward
-    PhysicsParams StabilityReport assemble_equilibrium_program r_stable
+    PhysicsParams StabilityReport assemble_equilibrium_program
     stability_scores
     DecodeState detokenize detokenize_lenient sequence_stats tokenize
     CODEBOOK_SIZE Token TokenSequence baseline_codebook codebook

@@ -186,6 +186,17 @@ class TestCli:
         assert len(out["bricks"]) == 1
         assert "out_of_bounds" in captured.err
 
+    @pytest.mark.parametrize("command", ["detokenize", "stats"])
+    @pytest.mark.parametrize("field", ["X\u00b2", "X\u0661", "X" + "1" * 5000])
+    def test_non_ascii_or_huge_digit_field_envelope(self, command, field, tmp_path, capsys):
+        tok = tmp_path / "bad.tok"
+        tok.write_text(f"BOS {field} Y0 Z0 H2 W4 EOS\n", encoding="utf-8")
+        assert main([command, str(tok)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "malformed_sequence",
+                                            "detail": f"unparseable token field {field!r}"}
+
     def test_domain_error_envelope(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"bricks": [

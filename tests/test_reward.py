@@ -102,14 +102,6 @@ def fake(r_total):
         if r_total <= 2.0 else compose_reward(1.0, 0.0, r_total - 2.0)
 
 
-class TestSerialization:
-    def test_breakdown_roundtrip(self):
-        from brickforge.reward import RewardBreakdown
-        b = compose_reward(0.7, 0.05, 0.9)
-        back = RewardBreakdown.from_dict(b.to_dict())
-        assert back == b
-
-
 class TestPreferencePairs:
     def test_pair_above_thresholds(self):
         pairs = build_preference_pairs([(seq(0), fake(2.5)), (seq(1), fake(2.2))])

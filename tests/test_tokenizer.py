@@ -265,6 +265,13 @@ class TestDetokenize:
         assert len(prefix.bricks) == 2
         assert "collision" in diagnostic
 
+    def test_only_strict_mode(self):
+        # the longest valid prefix comes from detokenize_lenient alone
+        seq = TokenSequence.from_text("BOS X0 Y0 Z0 H2 W4 EOS")
+        assert detokenize(seq, "strict").bricks == (Brick(2, 4, 0, 0, 0),)
+        with pytest.raises(ValueError, match="unknown mode 'lenient'"):
+            detokenize(seq, "lenient")
+
     def test_malformed_header(self):
         with pytest.raises(MalformedHeaderError):
             detokenize(TokenSequence.from_text("BOS X0 Y0 Z0 H2 EOS"))
@@ -354,6 +361,10 @@ class TestWireFormats:
         ("F24", "f 24 outside [0,24)"),
         ("H3", "size 3 not in (1, 2, 4, 6, 8)"),
         ("W0", "size 0 not in (1, 2, 4, 6, 8)"),
+        # digits must be ASCII, and within what int() converts
+        ("X\u00b2", "unparseable token field 'X\u00b2'"),
+        ("X\u0661", "unparseable token field 'X\u0661'"),
+        ("X" + "1" * 5000, f"unparseable token field {'X' + '1' * 5000!r}"),
     ])
     def test_malformed_text_field_messages(self, field, message):
         with pytest.raises(MalformedSequenceError) as err:
