@@ -149,10 +149,10 @@ class BrickAssembly:
     @staticmethod
     def from_json(text: str) -> "BrickAssembly":
         """Inverse of :meth:`to_json`; raises MalformedInputError on invalid
-        JSON and on any other layout."""
+        JSON, JSON nested too deep to parse, and any other layout."""
         try:
             data = json.loads(text)
-        except ValueError as err:
+        except (ValueError, RecursionError) as err:
             raise MalformedInputError(f"assembly is not JSON: {err}") from None
         if not isinstance(data, dict) or not isinstance(data.get("bricks"), list):
             raise MalformedInputError('assembly JSON needs a "bricks" list')

@@ -3,7 +3,8 @@
 Every run with the same configuration and inputs is bit-identical in its
 outputs; all randomness flows from the --seed flag.  Domain errors exit 1
 with a JSON diagnostic envelope {"error": code, "detail": text} on stderr;
-usage errors exit 2.
+usage errors exit 2.  A flag that sets a library argument is passed on
+only when given, so an omitted flag means the library's default.
 
 The commands that need numpy or scipy (stability, score, prefpairs,
 generate, voxelize) import them inside their handlers, so tokenize,
@@ -34,15 +35,22 @@ def _emit(text: str, out: str | None):
 
 def _read(path: str, as_json: bool = False):
     """The text of an input file, or its JSON value.  An unreadable path,
-    undecodable bytes and invalid JSON raise MalformedInputError, so no
-    loader leaks a traceback."""
+    undecodable bytes and invalid or too deeply nested JSON raise
+    MalformedInputError, so no loader leaks a traceback."""
     try:
         text = Path(path).read_text()
         return json.loads(text) if as_json else text
     except OSError as err:  # missing file, a directory, no permission
         raise MalformedInputError(f"cannot read {path}: {err.strerror}") from None
-    except ValueError as err:  # UnicodeDecodeError, JSONDecodeError
+    except (ValueError, RecursionError) as err:  # undecodable, not JSON, nested too deep
         raise MalformedInputError(f"{path} is not {'JSON' if as_json else 'text'}: {err}") from None
+
+
+def _given(args, *names) -> dict:
+    """The keyword arguments among ``names`` whose flags were given.  Such
+    flags default to argparse.SUPPRESS, so an omitted one is absent from
+    ``args`` and the library's own default applies."""
+    return {name: getattr(args, name) for name in names if name in args}
 
 
 def _load_assembly(path: str) -> BrickAssembly:
@@ -53,11 +61,11 @@ def _load_sequence(path: str) -> TokenSequence:
     return TokenSequence.from_text(_read(path))
 
 
-def _load_target_grid(path: str, solid_fill: bool) -> VoxelGrid:
+def _load_target_grid(args) -> VoxelGrid:
     from .geometry import PointCloud, VoxelGrid, voxelize_points
-    if path.endswith(".json"):
-        return VoxelGrid.from_dict(_read(path, as_json=True))
-    return voxelize_points(PointCloud.from_text(_read(path)), solid_fill)
+    if args.target.endswith(".json"):
+        return VoxelGrid.from_dict(_read(args.target, as_json=True))
+    return voxelize_points(PointCloud.from_text(_read(args.target)), **_given(args, "solid_fill"))
 
 
 def _scored(args):
@@ -66,10 +74,10 @@ def _scored(args):
     from .reward import total_reward
     target = PointCloud.from_text(_read(args.target))
     params = _physics(args)
+    options = _given(args, "samples", "seed", "solid_fill")
     for path in args.candidates:
         assembly = _load_assembly(path)
-        yield path, assembly, total_reward(target, assembly, params, samples=args.samples,
-                                           seed=args.seed, solid_fill=not args.no_solid_fill)
+        yield path, assembly, total_reward(target, assembly, params, **options)
 
 
 def _checked(convert, accept, want: str):
@@ -93,18 +101,8 @@ _samples = _checked(int, lambda v: 1 <= v <= 1 << 20, "must be an integer in [1,
 
 def _physics(args) -> PhysicsParams:
     from .stability import PhysicsParams
-    return PhysicsParams(brick_weight_per_cell=args.weight,
-                         clutch_tension_capacity=args.clutch,
-                         slack_tolerance=args.slack_eps)
-
-
-def _add_physics_flags(parser):
-    parser.add_argument("--clutch", type=_positive, default=10.0,
-                        help="clutch tension capacity per stud contact")
-    parser.add_argument("--weight", type=_positive, default=1.0,
-                        help="brick weight per footprint cell")
-    parser.add_argument("--slack-eps", type=_positive, default=1e-6,
-                        help="equilibrium slack tolerance")
+    return PhysicsParams(**_given(args, "brick_weight_per_cell", "clutch_tension_capacity",
+                                  "slack_tolerance"))
 
 
 def _cmd_tokenize(args) -> int:
@@ -159,24 +157,22 @@ def _cmd_score(args) -> int:
 def _cmd_prefpairs(args) -> int:
     from .reward import build_preference_pairs
     scored = [(tokenize(assembly), breakdown) for _, assembly, breakdown in _scored(args)]
-    condition = args.condition or args.target
-    for pair in build_preference_pairs(scored, gap_min=args.gap_min,
-                                       floor=args.floor, condition=condition):
+    for pair in build_preference_pairs(scored, condition=args.condition or args.target,
+                                       **_given(args, "gap_min", "floor")):
         sys.stdout.write(json.dumps(pair.to_dict()) + "\n")
     return 0
 
 
 def _cmd_generate(args) -> int:
     from .decode import DecodeBudgets, GreedyGeometryPolicy, UniformLegalPolicy, generate
-    target = _load_target_grid(args.target, not args.no_solid_fill)
+    target = _load_target_grid(args)
     if args.policy == "uniform":
         policy = UniformLegalPolicy()
     else:
-        policy = GreedyGeometryPolicy(temperature=args.temperature)
-    budgets = DecodeBudgets(max_resamples_per_tuple=args.max_resamples,
-                            max_rollbacks=args.max_rollbacks,
-                            max_bricks=args.max_bricks)
-    result = generate(policy, target, budgets, _physics(args), seed=args.seed)
+        policy = GreedyGeometryPolicy(**_given(args, "temperature"))
+    budgets = DecodeBudgets(**_given(args, "max_resamples_per_tuple", "max_rollbacks",
+                                     "max_bricks"))
+    result = generate(policy, target, budgets, _physics(args), **_given(args, "seed"))
     _emit(result.assembly.to_json(), args.output)
     if args.emit_tokens:
         Path(args.emit_tokens).write_text(result.sequence.to_text() + "\n")
@@ -194,7 +190,7 @@ def _cmd_export_ldraw(args) -> int:
 def _cmd_voxelize(args) -> int:
     from .geometry import PointCloud, voxelize_points
     cloud = PointCloud.from_text(_read(args.input))
-    grid = voxelize_points(cloud, solid_fill=not args.no_solid_fill)
+    grid = voxelize_points(cloud, **_given(args, "solid_fill"))
     _emit(json.dumps(grid.to_dict(), indent=2) + "\n", args.output)
     return 0
 
@@ -215,6 +211,22 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Brick structure tokenization, "
                                                  "stability, rewards, and generation")
     sub = parser.add_subparsers(dest="command", required=True)
+    omit = {"argument_default": argparse.SUPPRESS}  # see _given
+
+    physics = argparse.ArgumentParser(add_help=False, **omit)
+    physics.add_argument("--clutch", dest="clutch_tension_capacity", metavar="CLUTCH",
+                         type=_positive, help="clutch tension capacity per stud contact")
+    physics.add_argument("--weight", dest="brick_weight_per_cell", metavar="WEIGHT",
+                         type=_positive, help="brick weight per footprint cell")
+    physics.add_argument("--slack-eps", dest="slack_tolerance", metavar="SLACK_EPS",
+                         type=_positive, help="equilibrium slack tolerance")
+    fill = argparse.ArgumentParser(add_help=False, **omit)
+    fill.add_argument("--no-solid-fill", dest="solid_fill", action="store_false")
+    scoring = argparse.ArgumentParser(add_help=False, **omit)
+    scoring.add_argument("--target", required=True, help="target point cloud (.xyz)")
+    scoring.add_argument("candidates", nargs="+")
+    scoring.add_argument("--samples", type=_samples)
+    scoring.add_argument("--seed", type=_seed)
 
     p = sub.add_parser("tokenize", help="assembly JSON -> token text")
     p.add_argument("input")
@@ -236,46 +248,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("stability", help="per-brick stability report")
+    p = sub.add_parser("stability", help="per-brick stability report", parents=[physics])
     p.add_argument("input")
     p.add_argument("-o", "--output")
-    _add_physics_flags(p)
     p.set_defaults(func=_cmd_stability)
 
-    p = sub.add_parser("score", help="reward breakdown per candidate (JSON lines)")
-    p.add_argument("--target", required=True, help="target point cloud (.xyz)")
-    p.add_argument("candidates", nargs="+")
-    p.add_argument("--samples", type=_samples, default=8192)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--no-solid-fill", action="store_true")
-    _add_physics_flags(p)
+    p = sub.add_parser("score", help="reward breakdown per candidate (JSON lines)",
+                       parents=[scoring, fill, physics])
     p.set_defaults(func=_cmd_score)
 
-    p = sub.add_parser("prefpairs", help="preference pairs from scored candidates")
-    p.add_argument("--target", required=True)
-    p.add_argument("candidates", nargs="+")
-    p.add_argument("--gap-min", type=_finite, default=0.2)
-    p.add_argument("--floor", type=_finite, default=1.0)
+    p = sub.add_parser("prefpairs", help="preference pairs from scored candidates",
+                       parents=[scoring, fill, physics], **omit)
+    p.add_argument("--gap-min", type=_finite)
+    p.add_argument("--floor", type=_finite)
     p.add_argument("--condition", default=None)
-    p.add_argument("--samples", type=_samples, default=8192)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--no-solid-fill", action="store_true")
-    _add_physics_flags(p)
     p.set_defaults(func=_cmd_prefpairs)
 
-    p = sub.add_parser("generate", help="constrained generation toward a target")
+    p = sub.add_parser("generate", help="constrained generation toward a target",
+                       parents=[fill, physics], **omit)
     p.add_argument("--target", required=True,
                    help="point cloud (.xyz) or voxel grid (.json)")
     p.add_argument("--policy", choices=("uniform", "greedy"), default="greedy")
-    p.add_argument("--temperature", type=_finite, default=0.0)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--max-resamples", type=_count, default=32)
-    p.add_argument("--max-rollbacks", type=_count, default=16)
-    p.add_argument("--max-bricks", type=_count, default=400)
-    p.add_argument("--no-solid-fill", action="store_true")
-    p.add_argument("--emit-tokens", help="also write the token sequence here")
-    p.add_argument("-o", "--output")
-    _add_physics_flags(p)
+    p.add_argument("--temperature", type=_finite)
+    p.add_argument("--seed", type=_seed)
+    p.add_argument("--max-resamples", dest="max_resamples_per_tuple", metavar="MAX_RESAMPLES",
+                   type=_count)
+    p.add_argument("--max-rollbacks", type=_count)
+    p.add_argument("--max-bricks", type=_count)
+    p.add_argument("--emit-tokens", default=None, help="also write the token sequence here")
+    p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("export-ldraw", help="assembly JSON -> LDraw document")
@@ -283,9 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_export_ldraw)
 
-    p = sub.add_parser("voxelize", help="point cloud -> occupancy grid JSON")
+    p = sub.add_parser("voxelize", help="point cloud -> occupancy grid JSON", parents=[fill])
     p.add_argument("input")
-    p.add_argument("--no-solid-fill", action="store_true")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_voxelize)
 

@@ -47,6 +47,7 @@ REJECT_NON_MONOTONE = "non_monotone_f"
 REJECT_BOUNDS = "out_of_bounds"
 REJECT_COLLISION = "collision"
 
+OVERFLOW_PENALTY = 2.0  # GreedyGeometryPolicy: score lost per newly occupied non-target cell
 REPLY_TIMEOUT_S = 60.0  # SubprocessPolicy: the longest wait for one reply line
 CLOSE_GRACE_S = 10.0    # SubprocessPolicy.close: the wait for the child to exit
 
@@ -98,7 +99,7 @@ def validate_tuple(state: DecodeState, f: int, h: int, w: int, m: int):
     x, y, z = parent.x + dx, parent.y + dy, parent.z + dz
     if not (0 <= x <= GRID - h and 0 <= y <= GRID - w and 0 <= z < GRID):
         return None, REJECT_BOUNDS
-    if state.occupancy[x:x + h, y:y + w, z].any():
+    if state.assembly().occupancy[x:x + h, y:y + w, z].any():
         return None, REJECT_COLLISION
     return decode_attachment(f, m, parent, (h, w)), None
 
@@ -139,7 +140,7 @@ class UniformLegalPolicy(Policy):
 
 
 class GreedyGeometryPolicy(Policy):
-    """Scores placements by newly covered target cells minus a penalty per
+    """Scores placements by newly covered target cells minus OVERFLOW_PENALTY per
     newly occupied non-target cell, then samples via softmax; at temperature
     zero it takes the argmax (EOP first on ties, then lexicographic tuple).
 
@@ -150,20 +151,18 @@ class GreedyGeometryPolicy(Policy):
     (the harness still validates).  Covered cells come from the target's.
     """
 
-    def __init__(self, temperature: float = 0.0, overflow_penalty: float = 2.0):
+    def __init__(self, temperature: float = 0.0):
         self.temperature = temperature
-        self.overflow_penalty = overflow_penalty
 
     def _choose(self, actions: list[tuple], scores: list[float], rng):
         """actions[0] is EOP when present; ties at temperature zero prefer it."""
+        best = max(scores)
         if self.temperature <= 0.0:
-            best = max(scores)
             for action, score in zip(actions, scores):
                 if score == best:
                     return action
-        logits = np.array(scores) / self.temperature
-        logits -= logits.max()
-        weights = np.exp(logits)
+        with np.errstate(over="ignore"):  # a tiny temperature sends the losers to -inf
+            weights = np.exp((np.array(scores) - best) / self.temperature)
         pick = rng.choice(len(actions), p=weights / weights.sum())
         return actions[int(pick)]
 
@@ -181,7 +180,7 @@ class GreedyGeometryPolicy(Policy):
                 for y in range(max(0, y0 - w + 1), min(y0, GRID - w) + 1):
                     covered = int(target.occupancy[x:x + h, y:y + w, z0].sum())
                     actions.append((x, y, z0, h, w))
-                    scores.append(covered - self.overflow_penalty * (h * w - covered))
+                    scores.append(covered - OVERFLOW_PENALTY * (h * w - covered))
         if self.temperature <= 0.0:
             best = max(scores)
             return min(a for a, s in zip(actions, scores) if s == best)
@@ -198,12 +197,12 @@ class GreedyGeometryPolicy(Policy):
         x, y, z, h, w = placed[inside].T
         layers = [k for k in (parent.z - 1, parent.z + 1) if 0 <= k < GRID]
         sat = np.zeros((2, GRID + 1, GRID + 1, GRID), dtype=np.int64)  # occupancy, target
-        grids = np.stack([state.occupancy[..., layers], target.occupancy[..., layers]])
+        grids = np.stack([state.assembly().occupancy[..., layers], target.occupancy[..., layers]])
         sat[:, 1:, 1:, layers] = grids.cumsum(1).cumsum(2)
         box = sat[:, x + h, y + w, z] - sat[:, x, y + w, z] - sat[:, x + h, y, z] + sat[:, x, y, z]
         free = box[0] == 0
         covered = box[1, free]
-        scores = covered - self.overflow_penalty * ((h * w)[free] - covered)
+        scores = covered - OVERFLOW_PENALTY * ((h * w)[free] - covered)
         rows = (start + inside[free]).tolist()
         return self._choose([None] + [actions[i] for i in rows],
                             [0.0] + scores.tolist(), rng)
@@ -296,7 +295,7 @@ class SubprocessPolicy(Policy):
             raise PolicyProcessError("external policy closed its output stream")
         try:
             reply = json.loads(line)
-        except ValueError:
+        except (ValueError, RecursionError):  # not JSON, or nested too deep
             reply = None
         if not isinstance(reply, dict):
             raise MalformedInputError(f"external policy reply {line.rstrip()!r} is not a JSON object")
@@ -454,7 +453,7 @@ def generate(policy: Policy, target: VoxelGrid,
         sequence = state.finalize()
         assembly = state.assembly()
         report = stability_scores(assembly, params)
-        score = report.min_score if report.scores else 0.0
+        score = report.min_score
         if best is None or score > best[0]:
             best = (score, assembly, sequence, report)
         if score > 0.0:

@@ -92,11 +92,8 @@ class VoxelGrid:
     def count(self) -> int:
         return int(self.occupancy.sum())
 
-    def occupied_cells(self) -> list[tuple[int, int, int]]:
-        return [tuple(int(v) for v in c) for c in np.argwhere(self.occupancy)]
-
     def to_dict(self) -> dict:
-        return {"shape": [GRID, GRID, GRID], "occupied": [list(c) for c in self.occupied_cells()]}
+        return {"shape": [GRID, GRID, GRID], "occupied": np.argwhere(self.occupancy).tolist()}
 
     @staticmethod
     def from_dict(data: dict) -> "VoxelGrid":

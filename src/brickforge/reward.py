@@ -8,7 +8,6 @@ an external trainer (or a policy hyperparameter search) can consume them.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -45,9 +44,6 @@ class RewardBreakdown:
     def to_dict(self) -> dict:
         return {"r_iou": self.r_iou, "d_cd": self.d_cd, "r_cd": self.r_cd,
                 "r_geo": self.r_geo, "r_stable": self.r_stable, "r_total": self.r_total}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict()) + "\n"
 
 
 def compose_reward(r_iou: float, d_cd: float, r_stable: float) -> RewardBreakdown:

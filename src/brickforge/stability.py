@@ -21,16 +21,17 @@ from .bricks import GRID, BrickAssembly, connected_components
 from .errors import EmptyAssemblyError, SolverFailureError
 
 
+SLACK_PENALTY = 1e6  # the LP objective's weight M on each slack variable
+
+
 @dataclass(frozen=True)
 class PhysicsParams:
     brick_weight_per_cell: float = 1.0
     clutch_tension_capacity: float = 10.0
-    slack_penalty: float = 1e6
     slack_tolerance: float = 1e-6
 
     def __post_init__(self):
-        for name in ("brick_weight_per_cell", "clutch_tension_capacity",
-                     "slack_penalty", "slack_tolerance"):
+        for name in ("brick_weight_per_cell", "clutch_tension_capacity", "slack_tolerance"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and strictly positive, got {value}")
@@ -120,7 +121,7 @@ def assemble_equilibrium_program(assembly: BrickAssembly, params: PhysicsParams,
                      shape=(n_c, n_vars))
 
     c = np.zeros(n_vars)
-    c[slack0:t_var] = params.slack_penalty
+    c[slack0:t_var] = SLACK_PENALTY
     c[t_var] = 1.0
 
     # contact forces are free; ground forces, slacks and t are nonnegative

@@ -80,10 +80,9 @@ def _close(body: list[Token]) -> TokenSequence:
 
 def _body(sequence: TokenSequence) -> tuple[Token, ...]:
     """The tokens between BOS and EOS, at least a root header's worth."""
-    tokens = sequence.tokens
-    if len(tokens) < 7 or tokens[0].kind != "BOS" or tokens[-1].kind != KIND_EOS:
+    if len(sequence) < 7 or sequence[0].kind != "BOS" or sequence[-1].kind != KIND_EOS:
         raise MalformedHeaderError("sequence must be BOS <header> ... EOS with 5 header tokens")
-    return tokens[1:-1]
+    return sequence[1:-1]
 
 
 def _root(header) -> Brick:
@@ -133,11 +132,6 @@ class DecodeState:
     @property
     def done(self) -> bool:
         return self.started and self.current is None
-
-    @property
-    def occupancy(self):
-        """Read-only occupancy grid of the partial assembly."""
-        return self._assembly.occupancy
 
     def current_parent(self) -> Brick:
         return self.bricks[self.current]
@@ -266,16 +260,14 @@ class SequenceStats:
 
 
 def sequence_stats(sequence: TokenSequence) -> SequenceStats:
-    """Report (N, I, T) for a well-formed sequence and check the length law
-    T = 4N + I + 3 with T <= 5N + 2."""
+    """Report (N, I, T) for a well-formed sequence, whose grammar gives
+    T = 4N + I + 3; more EOPs than parents (T > 5N + 2) is an error."""
     body = _body(sequence)
     _root(body[:5])
     items = [item for _, item in _items(body[5:])]
     i = items.count(None)
     n = 1 + len(items) - i
-    t = len(sequence.tokens)
-    if t != 4 * n + i + 3:
-        raise MalformedSequenceError(f"length {t} != 4N+I+3 for N={n}, I={i}")
+    t = len(sequence)
     if t > 5 * n + 2:
         raise MalformedSequenceError(f"length {t} exceeds 5N+2 for N={n}")
     return SequenceStats(n_bricks=n, n_eop=i, length=t)

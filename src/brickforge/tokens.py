@@ -130,36 +130,20 @@ _TOKEN_BY_LABEL = {**dict.fromkeys("XYZC", coord), **dict.fromkeys("HWS", size),
                    "F": f_token, "M": m_token}
 
 
-class TokenSequence:
-    """An immutable ordered token list with text and binary wire forms."""
+class TokenSequence(tuple):
+    """A tuple of tokens with text and binary wire forms."""
 
-    def __init__(self, tokens):
-        self._tokens = tuple(tokens)
+    __slots__ = ()
 
     @property
     def tokens(self) -> tuple[Token, ...]:
-        return self._tokens
-
-    def __len__(self):
-        return len(self._tokens)
-
-    def __iter__(self):
-        return iter(self._tokens)
-
-    def __getitem__(self, i):
-        return self._tokens[i]
-
-    def __eq__(self, other):
-        return isinstance(other, TokenSequence) and self._tokens == other._tokens
-
-    def __hash__(self):
-        return hash(self._tokens)
+        return self
 
     def __repr__(self):
         return f"TokenSequence({self.to_text()!r})"
 
     def ids(self) -> list[int]:
-        return [token_to_id(t) for t in self._tokens]
+        return [token_to_id(t) for t in self]
 
     @staticmethod
     def from_ids(ids) -> "TokenSequence":
@@ -175,7 +159,7 @@ class TokenSequence:
         expect = ["X", "Y", "Z", "H", "W"]  # consumed after BOS
         group = []  # label cycle inside child tuples
         out = []
-        for tok in self._tokens:
+        for tok in self:
             if tok.kind in (KIND_BOS, KIND_EOS, KIND_PAD, KIND_EOP):
                 out.append(tok.kind)
                 if tok.kind == KIND_EOP:
@@ -218,7 +202,7 @@ class TokenSequence:
 
     def to_binary(self) -> bytes:
         """Length-prefixed (u32 little-endian count) list of u8 token ids."""
-        return struct.pack("<I", len(self._tokens)) + bytes(self.ids())
+        return struct.pack("<I", len(self)) + bytes(self.ids())
 
     @staticmethod
     def from_binary(blob: bytes) -> "TokenSequence":

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import warnings
 from collections import deque
 from typing import NamedTuple
@@ -22,6 +23,7 @@ from brickforge.bricks import (
     footprints_overlap,
 )
 from brickforge.decode import (
+    OVERFLOW_PENALTY,
     REJECT_ANCHOR,
     REJECT_BOUNDS,
     REJECT_COLLISION,
@@ -43,6 +45,7 @@ from brickforge.errors import (
 from brickforge.geometry import PointCloud, SurfaceMesh, VoxelGrid
 from brickforge.stability import (
     _SOLVER_OPTIONS,
+    SLACK_PENALTY,
     EquilibriumProgram,
     PhysicsParams,
     StabilityReport,
@@ -544,7 +547,8 @@ def validate_tuple_reference(state: DecodeState, f: int, h: int, w: int, m: int)
         brick = decode_attachment(f, m, parent, (h, w))
     except BrickforgeError:
         return None, REJECT_BOUNDS
-    block = state.occupancy[brick.x:brick.x + brick.h, brick.y:brick.y + brick.w, brick.z]
+    occupancy = state.assembly().occupancy
+    block = occupancy[brick.x:brick.x + brick.h, brick.y:brick.y + brick.w, brick.z]
     if block.any():
         return None, REJECT_COLLISION
     return brick, None
@@ -573,7 +577,7 @@ def greedy_score_reference(self, target: VoxelGrid, occupancy, brick: Brick) -> 
     fresh = ~block_o
     covered = int((block_t & fresh).sum())
     overflow = int((~block_t & fresh).sum())
-    return covered - self.overflow_penalty * overflow
+    return covered - OVERFLOW_PENALTY * overflow
 
 
 def greedy_propose_root_reference(self, target, rng):
@@ -602,6 +606,7 @@ def greedy_candidates_reference(self, target, state):
     """The (actions, scores) lists the per-candidate greedy ``propose``
     hands to ``_choose``."""
     parent = state.current_parent()
+    occupancy = state.assembly().occupancy
     actions: list[tuple | None] = [None]
     scores: list[float] = [0.0]
     for f in range(state.f_floor + 1, 2 * parent.h * parent.w):
@@ -611,7 +616,7 @@ def greedy_candidates_reference(self, target, state):
                 if brick is None:
                     continue
                 actions.append((f, h, w, m))
-                scores.append(greedy_score_reference(self, target, state.occupancy, brick))
+                scores.append(greedy_score_reference(self, target, occupancy, brick))
     return actions, scores
 
 
@@ -695,7 +700,7 @@ def assemble_equilibrium_program_reference(assembly: BrickAssembly, params: Phys
     A_ub[np.arange(n_c), np.arange(n_c)] = -1.0
     A_ub[:, t_var] = -params.clutch_tension_capacity
     c = np.zeros(n_vars)
-    c[slack0:slack0 + 6 * n_b] = params.slack_penalty
+    c[slack0:slack0 + 6 * n_b] = SLACK_PENALTY
     c[t_var] = 1.0
     bounds = [(None, None)] * n_c + [(0.0, None)] * (n_g + 6 * n_b + 1)
     return EquilibriumProgram(indices=indices, contacts=contacts, grounds=grounds, c=c,
@@ -777,3 +782,16 @@ def euler_characteristic(mesh) -> int:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+DEEP_JSON = "[" * 200_000 + "]" * 200_000  # nested far past the interpreter's recursion limit
+
+
+def recursion_message(text: str) -> str:
+    """What the RecursionError of ``json.loads(text)`` says.  The words are
+    the interpreter's, so tests read them from it rather than spell them."""
+    try:
+        json.loads(text)
+    except RecursionError as err:
+        return str(err)
+    raise AssertionError("the text parses within the recursion limit")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,13 @@ from brickforge.errors import (
 )
 from brickforge.tree import build_spanning_tree
 
-from conftest import CATALOG, grow_random_assembly, stamp_reference
+from conftest import (
+    CATALOG,
+    DEEP_JSON,
+    grow_random_assembly,
+    recursion_message,
+    stamp_reference,
+)
 
 
 def test_footprint_unit():
@@ -285,6 +293,8 @@ def test_brick_from_dict_keeps_domain_errors():
     ('{"bricks": {"h": 1}}', 'assembly JSON needs a "bricks" list'),
     ('{"bricks": [{"h": 1}]}', "needs int fields"),
     ('{"bricks": ["h"]}', "needs int fields"),
+    pytest.param(DEEP_JSON, re.escape(f"assembly is not JSON: {recursion_message(DEEP_JSON)}"),
+                 id="nested-too-deep"),
 ])
 def test_assembly_from_json_raises_malformed_input(text, detail):
     with pytest.raises(MalformedInputError, match=detail):

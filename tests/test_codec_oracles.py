@@ -216,7 +216,7 @@ def test_truncate_matches_replay_of_the_prefix(n):
             assert state.fingerprint() == fresh.fingerprint() == replay_reference(body[:cut])
             assert state.tuple_start == fresh.tuple_start
             assert state.assembly() == fresh.assembly()
-            assert np.array_equal(state.occupancy, fresh.occupancy)
+            assert np.array_equal(state.assembly().occupancy, fresh.assembly().occupancy)
         state = DecodeState.replay(body)
         before = state.fingerprint()
         for cut in set(range(1, len(body) + 2)) - set(cuts):

@@ -145,6 +145,19 @@ class TestPolicies:
         assert a.sequence == b.sequence
         assert len(c.assembly) >= 1  # different stream still yields a structure
 
+    @pytest.mark.filterwarnings("error")
+    def test_greedy_tiny_positive_temperature(self):
+        # scores / T overflowed to inf before the best score was subtracted,
+        # and inf - inf is NaN
+        policy = GreedyGeometryPolicy(1e-320)
+        rng = np.random.default_rng(0)
+        for _ in range(8):
+            assert policy._choose([None, "a", "b", "c"], [0.0, 3.0, -2.0, 3.0], rng) in ("a", "c")
+        target = grid_with([(4, 7, 0), (4, 7, 1), (4, 7, 2)])
+        result = generate(policy, target, seed=0)
+        assert result.assembly.bricks == (Brick(1, 1, 4, 7, 0), Brick(1, 1, 4, 7, 1),
+                                          Brick(1, 1, 4, 7, 2))
+
     def test_budgets_validation(self):
         with pytest.raises(ValueError):
             DecodeBudgets(max_resamples_per_tuple=0)
@@ -376,6 +389,7 @@ class TestSubprocessPolicy:
         (ROOT, '{"action": "tuple", "f": 0, "h": 2, "w": 2, "m": "0"}',
          "'m': '0'} needs int fields f, h, w, m"),
         (ROOT, "[0, 2, 2, 0]", "reply '[0, 2, 2, 0]' is not a JSON object"),
+        pytest.param(ROOT, "[" * 100_000, "[[[[' is not a JSON object", id="nested-too-deep"),
     ])
     def test_malformed_reply_is_a_domain_error(self, root_reply, reply, detail):
         script = ("import sys\nfor line in sys.stdin:\n"

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ from brickforge.cli import main
 from brickforge.geometry import PointCloud
 from brickforge.ldraw import PART_IDS, export_ldraw
 
-from conftest import grow_random_assembly
+from conftest import DEEP_JSON, grow_random_assembly, recursion_message
 
 
 def parse_ldraw(text: str):
@@ -266,6 +267,8 @@ class TestCli:
                             "(TypeError(\"'int' object is not iterable\"))"),
         ('[[0, 0, 0]]', "grid needs a shape and an occupied cell list "
                         "(AttributeError(\"'list' object has no attribute 'get'\"))"),
+        pytest.param(DEEP_JSON, f"{{grid}} is not JSON: {recursion_message(DEEP_JSON)}",
+                     id="nested-too-deep"),
     ])
     def test_malformed_grid_envelope(self, text, detail, tmp_path, capsys):
         grid = tmp_path / "bad.json"
@@ -274,9 +277,11 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "Traceback" not in captured.err
-        assert json.loads(captured.err) == {"error": "malformed_input", "detail": detail}
+        assert json.loads(captured.err) == {"error": "malformed_input",
+                                            "detail": detail.format(grid=grid)}
 
-    @pytest.mark.parametrize("text", ['{"shape": [20, 20, 20]}', '{"occupied": [[0, 0, 0]'])
+    @pytest.mark.parametrize("text", ['{"shape": [20, 20, 20]}', '{"occupied": [[0, 0, 0]',
+                                      pytest.param(DEEP_JSON, id="nested-too-deep")])
     def test_malformed_grid_exits_1_from_a_fresh_process(self, text, tmp_path):
         grid = tmp_path / "bad.json"
         grid.write_text(text)
@@ -309,6 +314,8 @@ class TestCli:
         ('{"bricks": [', "assembly is not JSON: Expecting value: line 1 column 13 (char 12)"),
         ("[]", 'assembly JSON needs a "bricks" list'),
         ('{"bricks": 3}', 'assembly JSON needs a "bricks" list'),
+        pytest.param(DEEP_JSON, f"assembly is not JSON: {recursion_message(DEEP_JSON)}",
+                     id="nested-too-deep"),
     ])
     def test_malformed_assembly_envelope(self, command, text, detail, cloud_file,
                                          tmp_path, capsys):
@@ -391,6 +398,64 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"argument {flag}: " in err and repr(value) in err
         assert "Traceback" not in err
+
+    # Per command line, the keywords each library callee receives: a flag
+    # passes its keyword on only when given, so an omitted one leaves the
+    # library's default in place.
+    PHYSICS = {"brick_weight_per_cell": 2.0, "clutch_tension_capacity": 30.0,
+               "slack_tolerance": 1e-5}
+    PHYSICS_FLAGS = ["--weight", "2", "--clutch", "30", "--slack-eps", "1e-5"]
+    FLAG_ROWS = [
+        (["stability", "{assembly}"], {"stability.PhysicsParams": {}}),
+        (["stability", "{assembly}", *PHYSICS_FLAGS], {"stability.PhysicsParams": PHYSICS}),
+        (["score", "--target", "{cloud}", "{assembly}"],
+         {"stability.PhysicsParams": {}, "reward.total_reward": {}}),
+        (["score", "--target", "{cloud}", "{assembly}", *PHYSICS_FLAGS, "--samples", "64",
+          "--seed", "2", "--no-solid-fill"],
+         {"stability.PhysicsParams": PHYSICS,
+          "reward.total_reward": {"samples": 64, "seed": 2, "solid_fill": False}}),
+        (["prefpairs", "--target", "{cloud}", "{assembly}"],
+         {"stability.PhysicsParams": {}, "reward.total_reward": {},
+          "reward.build_preference_pairs": {"condition": "{cloud}"}}),
+        (["prefpairs", "--target", "{cloud}", "{assembly}", "--samples", "64", "--seed", "2",
+          "--gap-min", "0.5", "--floor", "0", "--condition", "c"],
+         {"reward.total_reward": {"samples": 64, "seed": 2},
+          "reward.build_preference_pairs": {"condition": "c", "gap_min": 0.5, "floor": 0.0}}),
+        (["generate", "--target", "{grid}"],
+         {"stability.PhysicsParams": {}, "decode.GreedyGeometryPolicy": {},
+          "decode.DecodeBudgets": {}, "decode.generate": {}}),
+        (["generate", "--target", "{cloud}", *PHYSICS_FLAGS, "--temperature", "0.5",
+          "--seed", "4", "--max-resamples", "3", "--max-rollbacks", "2", "--max-bricks", "5",
+          "--no-solid-fill"],
+         {"stability.PhysicsParams": PHYSICS, "decode.GreedyGeometryPolicy": {"temperature": 0.5},
+          "decode.DecodeBudgets": {"max_resamples_per_tuple": 3, "max_rollbacks": 2,
+                                   "max_bricks": 5},
+          "decode.generate": {"seed": 4}, "geometry.voxelize_points": {"solid_fill": False}}),
+        (["voxelize", "{cloud}"], {"geometry.voxelize_points": {}}),
+        (["voxelize", "{cloud}", "--no-solid-fill"],
+         {"geometry.voxelize_points": {"solid_fill": False}}),
+    ]
+
+    @pytest.mark.parametrize("argv, keywords", FLAG_ROWS,
+                             ids=[" ".join(argv) for argv, _ in FLAG_ROWS])
+    def test_flags_reach_the_library_only_when_given(self, argv, keywords, assembly_file,
+                                                     cloud_file, tmp_path, monkeypatch):
+        grid = tmp_path / "cell.json"
+        grid.write_text(json.dumps({"shape": [20, 20, 20], "occupied": [[4, 7, 0]]}))
+        paths = {"assembly": assembly_file, "cloud": cloud_file, "grid": grid}
+        seen = {}
+        for name in keywords:
+            module, attr = name.split(".")
+            callee = getattr(importlib.import_module(f"brickforge.{module}"), attr)
+
+            def record(*args, _name=name, _callee=callee, **kwargs):
+                seen[_name] = kwargs
+                return _callee(*args, **kwargs)
+            monkeypatch.setattr(f"brickforge.{name}", record)
+        assert main([a.format(**paths) for a in argv]) == 0
+        assert seen == {name: {k: v.format(**paths) if isinstance(v, str) else v
+                               for k, v in given.items()}
+                        for name, given in keywords.items()}
 
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:

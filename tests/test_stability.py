@@ -163,7 +163,7 @@ class TestReporting:
             PhysicsParams(clutch_tension_capacity=-1.0)
 
     @pytest.mark.parametrize("name", ["brick_weight_per_cell", "clutch_tension_capacity",
-                                      "slack_penalty", "slack_tolerance"])
+                                      "slack_tolerance"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_params_reject_non_finite(self, name, value):
         # nan <= 0 is False, so a plain sign check let NaN through

@@ -148,6 +148,16 @@ class TestCodebook:
             assert parsed == seq
             assert all(t is token_from_id(tid) for t, tid in zip(parsed, seq.ids()))
 
+    def test_sequence_is_a_tuple_of_its_tokens(self, rng):
+        seq = tokenize(grow_random_assembly(rng, 10))
+        assert isinstance(seq, tuple) and seq.tokens is seq
+        assert seq == tuple(seq) and hash(seq) == hash(tuple(seq))
+        assert repr(seq) == f"TokenSequence({seq.to_text()!r})"
+        for parsed in (TokenSequence.from_text(seq.to_text()), TokenSequence.from_ids(seq.ids())):
+            assert type(parsed) is TokenSequence and parsed == seq
+        with pytest.raises(AttributeError):
+            seq.extra = 1  # no per-instance dict
+
     @pytest.mark.parametrize("make, value, message", [
         (coord, -1, "coordinate -1 outside [0,20)"),
         (coord, 20, "coordinate 20 outside [0,20)"),
