@@ -57,15 +57,16 @@ def decode_attachment(f: int, m: int, parent: Brick, child_size: tuple[int, int]
     workspace.
     """
     h, w = child_size
-    area_p = parent.h * parent.w
-    if not 0 <= f < 2 * area_p:
-        raise TokenOutOfRangeError("f", 2 * area_p, f)
+    if not 0 <= f < 2 * parent.h * parent.w:
+        raise TokenOutOfRangeError("f", 2 * parent.h * parent.w, f)
     if not 0 <= m < h * w:
         raise TokenOutOfRangeError("m", h * w, m)
-    s, r = divmod(f, area_p)
-    up, vp = r % parent.h, r // parent.h
-    uc, vc = m % h, m // h
-    x = parent.x + up - uc
-    y = parent.y + vp - vc
-    z = parent.z + (1 - 2 * s)
-    return Brick(h, w, x, y, z)
+    dx, dy, dz = attachment_offset(f, m, parent.h, parent.w, h)
+    return Brick(h, w, parent.x + dx, parent.y + dy, parent.z + dz)
+
+
+def attachment_offset(f: int, m: int, ph: int, pw: int, h: int) -> tuple[int, int, int]:
+    """The (dx, dy, dz) step from a ph x pw parent's anchor to the anchor of
+    the child with h rows that the in-range pair (f, m) encodes."""
+    s, r = divmod(f, ph * pw)
+    return r % ph - m % h, r // ph - m // h, 1 - 2 * s

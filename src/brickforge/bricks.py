@@ -43,10 +43,6 @@ class Brick:
             raise OutOfBoundsError(
                 f"brick {self.h}x{self.w} at ({self.x},{self.y},{self.z}) leaves the workspace")
 
-    @property
-    def area(self) -> int:
-        return self.h * self.w
-
     def cells(self):
         """Iterate the (cx, cy) footprint cells."""
         for a in range(self.h):
@@ -69,11 +65,6 @@ class Brick:
 def footprints_overlap(a: Brick, b: Brick) -> bool:
     return (a.x < b.x + b.h and b.x < a.x + a.h
             and a.y < b.y + b.w and b.y < a.y + a.w)
-
-
-def attached(a: Brick, b: Brick) -> bool:
-    """Attachment-graph edge predicate: adjacent layers with overlapping footprints."""
-    return abs(a.z - b.z) == 1 and footprints_overlap(a, b)
 
 
 def _stamp(cells: bytearray, brick: Brick) -> None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attach import decode_attachment
+from .attach import attachment_offset, decode_attachment
 from .bricks import CATALOG_SIZES, GRID, Brick, BrickAssembly
 from .errors import (
     BrickforgeError,
@@ -49,6 +49,7 @@ REJECT_COLLISION = "collision"
 
 OVERFLOW_PENALTY = 2.0  # GreedyGeometryPolicy: score lost per newly occupied non-target cell
 REPLY_TIMEOUT_S = 60.0  # SubprocessPolicy: the longest wait for one reply line
+MAX_REPLY_BYTES = 1 << 20  # SubprocessPolicy: the longest reply line, its newline included
 CLOSE_GRACE_S = 10.0    # SubprocessPolicy.close: the wait for the child to exit
 
 _CATALOG_ORDERED = tuple(sorted(CATALOG_SIZES))
@@ -57,13 +58,11 @@ _TOTAL_ANCHORS = sum(h * w for h, w in _CATALOG_ORDERED)  # 85 over the 14 rotat
 
 @functools.cache
 def _action_table(ph: int, pw: int):
-    """Legal-action table of a ph x pw parent: every child tuple (f, h, w, m)
-    in lexicographic order, so each f spans _TOTAL_ANCHORS rows; each tuple's
-    anchor offset (dx, dy, dz) from the parent, as ``decode_attachment``
-    places it; and the int array of rows (dx, dy, dz, h, w)."""
-    area = ph * pw
-    offsets = {(f, h, w, m): (f % area % ph - m % h, f % area // ph - m // h, 1 - 2 * (f // area))
-               for f in range(2 * area) for h, w in _CATALOG_ORDERED for m in range(h * w)}
+    """Legal-action table of a ph x pw parent: every legal child tuple (f, h, w, m)
+    in lexicographic order, so each f spans _TOTAL_ANCHORS rows; their anchor offsets
+    (dx, dy, dz) from the parent, by tuple; and the int array of rows (dx, dy, dz, h, w)."""
+    offsets = {(f, h, w, m): attachment_offset(f, m, ph, pw, h)
+               for f in range(2 * ph * pw) for h, w in _CATALOG_ORDERED for m in range(h * w)}
     table = np.column_stack([list(offsets.values()), [a[1:3] for a in offsets]])
     return tuple(offsets), offsets, table
 
@@ -87,15 +86,13 @@ def validate_tuple(state: DecodeState, f: int, h: int, w: int, m: int):
     if state.current is None:
         return None, REJECT_CONNECTOR
     parent = state.current_parent()
-    if not 0 <= f < 2 * parent.h * parent.w:
-        return None, REJECT_CONNECTOR
-    if (h, w) not in CATALOG_SIZES:
-        return None, REJECT_SIZE
-    if not 0 <= m < h * w:
-        return None, REJECT_ANCHOR
+    offset = _action_table(parent.h, parent.w)[1].get((f, h, w, m))
+    if offset is None:  # not a row of the table: name the first field out of range
+        return None, (REJECT_CONNECTOR if not 0 <= f < 2 * parent.h * parent.w
+                      else REJECT_SIZE if (h, w) not in CATALOG_SIZES else REJECT_ANCHOR)
     if f <= state.f_floor:
         return None, REJECT_NON_MONOTONE
-    dx, dy, dz = _action_table(parent.h, parent.w)[1][f, h, w, m]
+    dx, dy, dz = offset
     x, y, z = parent.x + dx, parent.y + dy, parent.z + dz
     if not (0 <= x <= GRID - h and 0 <= y <= GRID - w and 0 <= z < GRID):
         return None, REJECT_BOUNDS
@@ -239,9 +236,9 @@ class SubprocessPolicy(Policy):
     Replies: {"action": "tuple", "f":, "h":, "w":, "m":} or
     {"action": "eop"} or {"action": "root", "x":, "y":, "z":, "h":, "w":},
     with int fields; any other reply raises MalformedInputError.  All
-    validation stays in the harness.  A reply that takes longer than
-    REPLY_TIMEOUT_S raises PolicyProcessError and kills the child.  Usable
-    as a context manager that closes the child on exit.
+    validation stays in the harness.  A reply slower than REPLY_TIMEOUT_S
+    (PolicyProcessError) or longer than MAX_REPLY_BYTES (MalformedInputError)
+    kills the child.  Usable as a context manager that closes it on exit.
     """
 
     def __init__(self, command: list[str]):
@@ -250,6 +247,7 @@ class SubprocessPolicy(Policy):
                                          stdout=subprocess.PIPE)
         except OSError as err:  # missing executable, no permission
             raise PolicyProcessError(f"cannot start external policy: {err}") from None
+        self._pending = bytearray()  # bytes read from the child but not yet returned
 
     def close(self):
         """Close the child's stdin and reap it, killing it after CLOSE_GRACE_S."""
@@ -271,17 +269,22 @@ class SubprocessPolicy(Policy):
         self.close()
 
     def _readline(self) -> str:
-        """One reply line, read a byte at a time so that no byte sits unseen
-        by ``select`` in a buffer; a child silent for REPLY_TIMEOUT_S is killed."""
-        deadline, line, fd = time.monotonic() + REPLY_TIMEOUT_S, b"", self.proc.stdout.fileno()
-        while not line.endswith(b"\n"):
-            if not select.select([fd], [], [], max(0.0, deadline - time.monotonic()))[0]:
+        """One reply line from ``_pending``, refilled in chunks after ``select``
+        only while it holds no whole line."""
+        deadline, fd, seen = time.monotonic() + REPLY_TIMEOUT_S, self.proc.stdout.fileno(), 0
+        while not (end := self._pending.find(b"\n", seen, MAX_REPLY_BYTES) + 1):
+            seen, left = len(self._pending), deadline - time.monotonic()  # no newline before seen
+            if seen >= MAX_REPLY_BYTES or not select.select([fd], [], [], max(0.0, left))[0]:
                 self.proc.kill()
                 self.proc.wait()
+                if seen >= MAX_REPLY_BYTES:
+                    raise MalformedInputError(f"external policy reply is over {MAX_REPLY_BYTES} bytes")
                 raise PolicyProcessError(f"external policy sent no reply within {REPLY_TIMEOUT_S} s")
-            if not (byte := os.read(fd, 1)):  # end of stream
+            if not (chunk := os.read(fd, 1 << 16)):  # end of stream: the rest is the line
+                end = seen
                 break
-            line += byte
+            self._pending += chunk
+        line, self._pending = self._pending[:end], self._pending[end:]
         return line.decode(errors="replace")
 
     def _roundtrip(self, payload: dict) -> dict:

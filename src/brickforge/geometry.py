@@ -85,13 +85,6 @@ class VoxelGrid:
         if self.occupancy.shape != (GRID, GRID, GRID):
             raise ValueError(f"grid must be {GRID}^3, got {self.occupancy.shape}")
 
-    @staticmethod
-    def empty() -> "VoxelGrid":
-        return VoxelGrid(np.zeros((GRID, GRID, GRID), dtype=bool))
-
-    def count(self) -> int:
-        return int(self.occupancy.sum())
-
     def to_dict(self) -> dict:
         return {"shape": [GRID, GRID, GRID], "occupied": np.argwhere(self.occupancy).tolist()}
 

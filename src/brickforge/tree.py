@@ -12,10 +12,9 @@ from .errors import DisconnectedGraphError
 
 @dataclass
 class AttachmentTree:
-    """BFS spanning tree: parent pointers, per-parent children sorted by f."""
+    """BFS spanning tree: per-parent children sorted by f, and the BFS order."""
 
     root: int
-    parent: dict[int, int] = field(default_factory=dict)
     children: dict[int, list[int]] = field(default_factory=dict)
     bfs_order: list[int] = field(default_factory=list)
 
@@ -45,7 +44,6 @@ def build_spanning_tree(assembly: BrickAssembly) -> AttachmentTree:
         tree.children[p] = unvisited
         for c in unvisited:
             visited[c] = True
-            tree.parent[c] = p
             queue.append(c)
     if len(tree.bfs_order) != len(bricks):
         raise DisconnectedGraphError(len(connected_components(assembly)))

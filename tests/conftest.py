@@ -18,7 +18,6 @@ from brickforge.bricks import (
     GRID,
     Brick,
     BrickAssembly,
-    attached,
     connected_components,
     footprints_overlap,
 )
@@ -120,6 +119,11 @@ def place_reference(assembly: BrickAssembly, brick: Brick) -> BrickAssembly:
     assembly through the validating constructor."""
     stamp_reference(assembly.occupancy.copy(), brick)
     return BrickAssembly(assembly.bricks + (brick,))
+
+
+def attached(a: Brick, b: Brick) -> bool:
+    """Attachment-graph edge predicate: adjacent layers with overlapping footprints."""
+    return abs(a.z - b.z) == 1 and footprints_overlap(a, b)
 
 
 def attachment_edges_reference(assembly: BrickAssembly) -> set[tuple[int, int]]:
@@ -694,7 +698,7 @@ def assemble_equilibrium_program_reference(assembly: BrickAssembly, params: Phys
         for offset, row in ((0, fr), (2, mxr), (4, myr)):
             A_eq[row, base + offset] += 1.0
             A_eq[row, base + offset + 1] -= 1.0
-        b_eq[fr] = bricks[brick_idx].area * params.brick_weight_per_cell
+        b_eq[fr] = bricks[brick_idx].h * bricks[brick_idx].w * params.brick_weight_per_cell
 
     A_ub = np.zeros((n_c, n_vars))
     A_ub[np.arange(n_c), np.arange(n_c)] = -1.0

@@ -8,7 +8,6 @@ from brickforge.bricks import (
     GRID,
     Brick,
     BrickAssembly,
-    attached,
     attachment_edges,
     is_connected,
     place,
@@ -26,6 +25,7 @@ from brickforge.tree import build_spanning_tree
 from conftest import (
     CATALOG,
     DEEP_JSON,
+    attached,
     grow_random_assembly,
     recursion_message,
     stamp_reference,
@@ -183,10 +183,15 @@ def test_is_connected():
     assert not is_connected(BrickAssembly((Brick(1, 1, 0, 0, 0), Brick(1, 1, 19, 19, 0))))
 
 
+def tree_parents(tree) -> dict[int, int]:
+    """Each non-root brick's parent in ``tree``, read off its child lists."""
+    return {c: p for p, children in tree.children.items() for c in children}
+
+
 def test_spanning_tree_single_brick():
     tree = build_spanning_tree(BrickAssembly((Brick(2, 4, 0, 0, 0),)))
     assert tree.root == 0
-    assert tree.parent == {}
+    assert tree_parents(tree) == {}
     assert tree.bfs_order == [0]
 
 
@@ -194,7 +199,7 @@ def test_spanning_tree_vertical_chain():
     a = BrickAssembly(tuple(Brick(1, 1, 4, 4, z) for z in range(3)))
     tree = build_spanning_tree(a)
     assert tree.root == 0
-    assert tree.parent == {1: 0, 2: 1}
+    assert tree_parents(tree) == {1: 0, 2: 1}
     assert tree.bfs_order == [0, 1, 2]
 
 
@@ -210,7 +215,7 @@ def test_spanning_tree_diamond_tie():
     tree = build_spanning_tree(a)
     assert tree.root == 0
     assert tree.children[0] == [1, 2]  # sorted by f: 0 then 3
-    assert tree.parent[3] == 1
+    assert tree_parents(tree)[3] == 1
     assert tree.bfs_order == [0, 1, 2, 3]
 
 
@@ -218,7 +223,7 @@ def test_spanning_tree_deterministic(rng):
     a = grow_random_assembly(rng, 40)
     t1 = build_spanning_tree(a)
     t2 = build_spanning_tree(a)
-    assert t1.parent == t2.parent
+    assert tree_parents(t1) == tree_parents(t2)
     assert t1.bfs_order == t2.bfs_order
 
 
@@ -227,7 +232,7 @@ def test_spanning_tree_edges_subset_and_count(rng):
         a = grow_random_assembly(rng, 25)
         tree = build_spanning_tree(a)
         edges = attachment_edges(a)
-        tree_edges = {(min(c, p), max(c, p)) for c, p in tree.parent.items()}
+        tree_edges = {(min(c, p), max(c, p)) for c, p in tree_parents(tree).items()}
         assert tree_edges <= edges
         assert len(tree_edges) == len(a.bricks) - 1
 

@@ -452,6 +452,41 @@ class TestSubprocessPolicy:
         assert result.assembly.bricks == (Brick(2, 2, 4, 4, 0), Brick(2, 2, 4, 4, 1))
         assert policy.proc.returncode == 0
 
+    def test_long_reply_is_read_in_linear_time(self):
+        script = ("import sys\nfor line in sys.stdin:\n"
+                  "    print('{\"action\": \"eop\", \"pad\": \"' + 'x' * 200_000 + '\"}', flush=True)\n")
+        state = state_for(Brick(2, 2, 4, 4, 0))
+        with SubprocessPolicy([sys.executable, "-c", script]) as policy:
+            assert policy.propose(None, state, None) is None  # the child is up
+            start = time.monotonic()
+            assert policy.propose(None, state, None) is None
+            assert time.monotonic() - start < 0.2
+        assert policy.proc.returncode == 0
+
+    def test_two_replies_in_one_write_come_back_in_order(self, monkeypatch):
+        monkeypatch.setattr(decode, "REPLY_TIMEOUT_S", 1.0)
+        first = '{"action": "tuple", "f": 0, "h": 2, "w": 2, "m": 0}'
+        second = '{"action": "tuple", "f": 3, "h": 1, "w": 2, "m": 1}'
+        script = (f"import sys\nsys.stdin.readline()\n"
+                  f"sys.stdout.write({first!r} + '\\n' + {second!r} + '\\n')\nsys.stdout.flush()\n"
+                  "for line in sys.stdin: pass\n")
+        state = state_for(Brick(2, 2, 4, 4, 0))
+        with SubprocessPolicy([sys.executable, "-c", script]) as policy:
+            assert policy.propose(None, state, None) == (0, 2, 2, 0)
+            assert policy.propose(None, state, None) == (3, 1, 2, 1)
+        assert policy.proc.returncode == 0
+
+    def test_endless_reply_line_is_cut_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(decode, "MAX_REPLY_BYTES", 4096)
+        script = ("import sys\nsys.stdin.readline()\n"
+                  "while True:\n    sys.stdout.write('x' * 1000); sys.stdout.flush()\n")
+        start = time.monotonic()
+        with pytest.raises(MalformedInputError, match="reply is over 4096 bytes"):
+            with SubprocessPolicy([sys.executable, "-c", script]) as policy:
+                generate(policy, grid_with([(4, 4, 0)]), DecodeBudgets(8, 1, 4), seed=0)
+        assert policy.proc.poll() is not None
+        assert time.monotonic() - start < 2.0
+
     def test_close_kills_a_child_that_outlives_its_grace(self, monkeypatch):
         monkeypatch.setattr(decode, "CLOSE_GRACE_S", 0.3)
         start = time.monotonic()

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from brickforge import decode
+from brickforge.attach import AttachmentCode, decode_attachment, encode_attachment
+from brickforge.bricks import CATALOG_SIZES, Brick
 from brickforge.decode import (
     REJECT_ANCHOR,
     REJECT_BOUNDS,
@@ -190,3 +192,43 @@ def test_action_table_rows_decode_like_decode_attachment():
                 dx, dy, dz = offsets[actions[row]]
                 assert (brick.x - parent.x, brick.y - parent.y, brick.z - parent.z) == (dx, dy, dz)
                 assert tuple(table[row]) == (dx, dy, dz, brick.h, brick.w)
+
+
+@pytest.mark.parametrize("ph, pw", sorted(CATALOG_SIZES))
+def test_every_table_row_is_the_offset_decode_attachment_places(ph, pw):
+    actions, offsets, table = decode._action_table(ph, pw)
+    canonical = 0
+    for row, (f, h, w, m) in enumerate(actions):
+        dx, dy, dz = offsets[f, h, w, m]
+        assert tuple(table[row]) == (dx, dy, dz, h, w)
+        parent = Brick(ph, pw, max(0, -dx), max(0, -dy), 1)  # the child fits in the grid
+        child = decode_attachment(f, m, parent, (h, w))
+        assert child == Brick(h, w, parent.x + dx, parent.y + dy, parent.z + dz)
+        # several rows place the same child; encoding names the one whose
+        # shared stud is the low corner of the footprint overlap
+        code = encode_attachment(parent, child)
+        assert offsets[code.f, h, w, code.m] == (dx, dy, dz)
+        up, vp, uc, vc = f % (ph * pw) % ph, f % (ph * pw) // ph, m % h, m // h
+        if min(up, uc) == 0 and min(vp, vc) == 0:
+            assert code == AttachmentCode(f, m)
+            canonical += 1
+    assert canonical == len({tuple(row) for row in table.tolist()})  # one per placement
+
+
+@pytest.mark.parametrize("f, h, w, m, reason", [
+    (8, 3, 3, 0, REJECT_CONNECTOR),    # f and size
+    (-1, 2, 2, 4, REJECT_CONNECTOR),   # f and anchor
+    (8, 5, 1, 9, REJECT_CONNECTOR),    # f, size and anchor
+    (-1, 0, 0, -1, REJECT_CONNECTOR),  # f, size and anchor
+    (2, 3, 3, 9, REJECT_SIZE),         # size and anchor
+    (7, 1, 3, -1, REJECT_SIZE),        # size and anchor
+    (0, 2, 2, 4, REJECT_ANCHOR),       # anchor and a non-monotone f
+    (1, 1, 8, 8, REJECT_ANCHOR),       # anchor and a non-monotone f
+])
+def test_first_broken_field_names_the_rejection(f, h, w, m, reason):
+    state = DecodeState()
+    state.apply_root(Brick(2, 2, 4, 4, 1))  # f ranges over 0..7
+    brick = validate_tuple(state, 1, 2, 2, 0)[0]
+    state.apply_tuple(1, 2, 2, 0, brick)  # the group floor is f = 1
+    assert validate_tuple(state, f, h, w, m) == (None, reason)
+    assert validate_tuple_reference(state, f, h, w, m) == (None, reason)
