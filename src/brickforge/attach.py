@@ -10,7 +10,7 @@ smallest (x, y) cell of the footprint intersection, which makes the pair
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .bricks import Brick, MAX_FOOTPRINT_AREA
 from .errors import NotAttachedError, TokenOutOfRangeError
@@ -19,10 +19,7 @@ F_RANGE = 2 * MAX_FOOTPRINT_AREA  # two directions times the largest footprint
 M_RANGE = MAX_FOOTPRINT_AREA
 
 
-@dataclass(frozen=True)
-class AttachmentCode:
-    f: int
-    m: int
+AttachmentCode = namedtuple("AttachmentCode", "f m")
 
 
 def encode_attachment(parent: Brick, child: Brick) -> AttachmentCode:

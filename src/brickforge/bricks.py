@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
+from functools import total_ordering
+from operator import index
 
 from .errors import CollisionError, MalformedInputError, OutOfBoundsError, SizeNotInLibraryError
 
@@ -24,24 +25,52 @@ SIZE_VALUES = (1, 2, 4, 6, 8)
 MAX_FOOTPRINT_AREA = 12  # largest catalog footprint (2x6)
 
 
-@dataclass(frozen=True, order=True)
-class Brick:
-    """A single brick: footprint (h, w) anchored at grid cell (x, y, z)."""
+@total_ordering
+class _Record:
+    """Immutable ``__slots__`` value type.  As for a frozen, ordered dataclass, repr,
+    ==, hash and order go by the field tuple ``_key()``, and only within one class."""
 
-    h: int
-    w: int
-    x: int
-    y: int
-    z: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.h, self.w) not in CATALOG_SIZES:
-            raise SizeNotInLibraryError(f"({self.h},{self.w}) not a catalog footprint")
-        if not (0 <= self.x and self.x + self.h <= GRID
-                and 0 <= self.y and self.y + self.w <= GRID
-                and 0 <= self.z < GRID):
-            raise OutOfBoundsError(
-                f"brick {self.h}x{self.w} at ({self.x},{self.y},{self.z}) leaves the workspace")
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._key()))
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __lt__(self, other):
+        return self._key() < other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class Brick(_Record):
+    """A single brick: footprint (h, w) anchored at grid cell (x, y, z).  Fields go
+    through ``operator.index``: a float or a string raises MalformedInputError."""
+
+    __slots__ = ("h", "w", "x", "y", "z")
+
+    def __init__(self, h: int, w: int, x: int, y: int, z: int):
+        try:
+            h, w, x, y, z = index(h), index(w), index(x), index(y), index(z)
+        except TypeError:
+            raise MalformedInputError(f"brick fields {(h, w, x, y, z)!r} are not all ints") from None
+        if (h, w) not in CATALOG_SIZES:
+            raise SizeNotInLibraryError(f"({h},{w}) not a catalog footprint")
+        if not (0 <= x and x + h <= GRID and 0 <= y and y + w <= GRID and 0 <= z < GRID):
+            raise OutOfBoundsError(f"brick {h}x{w} at ({x},{y},{z}) leaves the workspace")
+        put = object.__setattr__  # past _Record.__setattr__, which refuses every write
+        put(self, "h", h), put(self, "w", w), put(self, "x", x), put(self, "y", y), put(self, "z", z)
+
+    def _key(self) -> tuple[int, int, int, int, int]:
+        return self.h, self.w, self.x, self.y, self.z
 
     def cells(self):
         """Iterate the (cx, cy) footprint cells."""
@@ -115,6 +144,15 @@ class BrickAssembly:
     @property
     def bricks(self) -> tuple[Brick, ...]:
         return self._bricks
+
+    def is_free(self, h: int, w: int, x: int, y: int, z: int) -> bool:
+        """True when no cell of the in-workspace h x w footprint at (x, y, z) is
+        taken: one strided slice per line along the long side, as in ``_stamp``."""
+        start = (x * GRID + y) * GRID + z
+        step, across, n = (GRID, GRID * GRID, w) if h <= w else (GRID * GRID, GRID, h)
+        end = start + n * step
+        return not (1 in self._cells[start:end:step]
+                    or min(h, w) == 2 and 1 in self._cells[start + across:end + across:step])
 
     @property
     def occupancy(self):

@@ -6,9 +6,9 @@ with a JSON diagnostic envelope {"error": code, "detail": text} on stderr;
 usage errors exit 2.  A flag that sets a library argument is passed on
 only when given, so an omitted flag means the library's default.
 
-The commands that need numpy or scipy (stability, score, prefpairs,
-generate, voxelize) import them inside their handlers, so tokenize,
-detokenize, roundtrip, validate, export-ldraw and stats start without them.
+Each handler imports the modules it uses, so a command loads only those:
+validate loads ``bricks`` and ``errors`` alone, and only stability, score,
+prefpairs, generate and voxelize load numpy or scipy.
 """
 
 from __future__ import annotations
@@ -21,9 +21,6 @@ from pathlib import Path
 
 from .bricks import BrickAssembly, is_connected
 from .errors import BrickforgeError, MalformedInputError
-from .ldraw import export_ldraw
-from .tokenizer import detokenize, detokenize_lenient, sequence_stats, tokenize
-from .tokens import TokenSequence
 
 
 def _emit(text: str, out: str | None):
@@ -58,6 +55,7 @@ def _load_assembly(path: str) -> BrickAssembly:
 
 
 def _load_sequence(path: str) -> TokenSequence:
+    from .tokens import TokenSequence
     return TokenSequence.from_text(_read(path))
 
 
@@ -106,12 +104,14 @@ def _physics(args) -> PhysicsParams:
 
 
 def _cmd_tokenize(args) -> int:
+    from .tokenizer import tokenize
     seq = tokenize(_load_assembly(args.input))
     _emit(seq.to_text() + "\n", args.output)
     return 0
 
 
 def _cmd_detokenize(args) -> int:
+    from .tokenizer import detokenize, detokenize_lenient
     seq = _load_sequence(args.input)
     if args.lenient:
         assembly, diagnostic = detokenize_lenient(seq)
@@ -124,6 +124,7 @@ def _cmd_detokenize(args) -> int:
 
 
 def _cmd_roundtrip(args) -> int:
+    from .tokenizer import detokenize, tokenize
     assembly = _load_assembly(args.input)
     seq = tokenize(assembly)
     back = detokenize(seq)
@@ -156,6 +157,7 @@ def _cmd_score(args) -> int:
 
 def _cmd_prefpairs(args) -> int:
     from .reward import build_preference_pairs
+    from .tokenizer import tokenize
     scored = [(tokenize(assembly), breakdown) for _, assembly, breakdown in _scored(args)]
     for pair in build_preference_pairs(scored, condition=args.condition or args.target,
                                        **_given(args, "gap_min", "floor")):
@@ -183,6 +185,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_export_ldraw(args) -> int:
+    from .ldraw import export_ldraw
     _emit(export_ldraw(_load_assembly(args.input)), args.output)
     return 0
 
@@ -196,6 +199,7 @@ def _cmd_voxelize(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    from .tokenizer import sequence_stats
     per_file = []
     for path in args.inputs:
         stats = sequence_stats(_load_sequence(path))

@@ -26,13 +26,14 @@ import numpy as np
 from .attach import attachment_offset, decode_attachment
 from .bricks import CATALOG_SIZES, GRID, Brick, BrickAssembly
 from .errors import (
-    BrickforgeError,
     BudgetExhaustedError,
     EmptyTargetError,
     InconsistentSequenceError,
     MalformedInputError,
     NoUnstableBrickError,
+    OutOfBoundsError,
     PolicyProcessError,
+    SizeNotInLibraryError,
 )
 from .geometry import VoxelGrid
 from .stability import PhysicsParams, StabilityReport, stability_scores
@@ -59,12 +60,11 @@ _TOTAL_ANCHORS = sum(h * w for h, w in _CATALOG_ORDERED)  # 85 over the 14 rotat
 @functools.cache
 def _action_table(ph: int, pw: int):
     """Legal-action table of a ph x pw parent: every legal child tuple (f, h, w, m)
-    in lexicographic order, so each f spans _TOTAL_ANCHORS rows; their anchor offsets
-    (dx, dy, dz) from the parent, by tuple; and the int array of rows (dx, dy, dz, h, w)."""
-    offsets = {(f, h, w, m): attachment_offset(f, m, ph, pw, h)
-               for f in range(2 * ph * pw) for h, w in _CATALOG_ORDERED for m in range(h * w)}
-    table = np.column_stack([list(offsets.values()), [a[1:3] for a in offsets]])
-    return tuple(offsets), offsets, table
+    in lexicographic order, so each f spans _TOTAL_ANCHORS rows; by tuple, its row
+    (dx, dy, dz, h, w) of anchor offset from the parent and size; and those rows as an array."""
+    rows = {(f, h, w, m): attachment_offset(f, m, ph, pw, h) + (h, w)
+            for f in range(2 * ph * pw) for h, w in _CATALOG_ORDERED for m in range(h * w)}
+    return tuple(rows), rows, np.array(list(rows.values()))
 
 
 @dataclass(frozen=True)
@@ -86,17 +86,17 @@ def validate_tuple(state: DecodeState, f: int, h: int, w: int, m: int):
     if state.current is None:
         return None, REJECT_CONNECTOR
     parent = state.current_parent()
-    offset = _action_table(parent.h, parent.w)[1].get((f, h, w, m))
-    if offset is None:  # not a row of the table: name the first field out of range
+    row = _action_table(parent.h, parent.w)[1].get((f, h, w, m))
+    if row is None:  # not a row of the table: name the first field out of range
         return None, (REJECT_CONNECTOR if not 0 <= f < 2 * parent.h * parent.w
                       else REJECT_SIZE if (h, w) not in CATALOG_SIZES else REJECT_ANCHOR)
     if f <= state.f_floor:
         return None, REJECT_NON_MONOTONE
-    dx, dy, dz = offset
+    dx, dy, dz, rh, rw = row  # the table's ints, even for a float field equal to one
     x, y, z = parent.x + dx, parent.y + dy, parent.z + dz
-    if not (0 <= x <= GRID - h and 0 <= y <= GRID - w and 0 <= z < GRID):
+    if not (0 <= x <= GRID - rh and 0 <= y <= GRID - rw and 0 <= z < GRID):
         return None, REJECT_BOUNDS
-    if state.assembly().occupancy[x:x + h, y:y + w, z].any():
+    if not state.assembly().is_free(rh, rw, x, y, z):
         return None, REJECT_COLLISION
     return decode_attachment(f, m, parent, (h, w)), None
 
@@ -401,8 +401,8 @@ def _sample_root(policy: Policy, target: VoxelGrid, state: DecodeState,
         x, y, z, h, w = policy.propose_root(target, rng)
         try:
             brick = Brick(h, w, x, y, z)
-        except BrickforgeError:
-            trace.reject(REJECT_BOUNDS)
+        except (OutOfBoundsError, SizeNotInLibraryError) as err:
+            trace.reject(err.code)
             continue
         state.apply_root(brick)
         return

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import warnings
 from bisect import bisect_left
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 
 from .attach import decode_attachment, encode_attachment
 from .bricks import Brick, BrickAssembly, CATALOG_SIZES, place
@@ -54,8 +53,8 @@ class NonMonotoneFWarning(UserWarning):
 def tokenize(assembly: BrickAssembly) -> TokenSequence:
     """Serialize a connected, collision-free assembly.
 
-    Deterministic; raises DisconnectedGraphError when the attachment graph
-    has more than one component.
+    Deterministic; raises EmptyAssemblyError on no bricks, DisconnectedGraphError
+    when the attachment graph has more than one component.
     """
     tree = build_spanning_tree(assembly)
     bricks = assembly.bricks
@@ -252,11 +251,7 @@ def detokenize_lenient(sequence: TokenSequence) -> tuple[BrickAssembly, str | No
     return state.assembly(), None
 
 
-@dataclass(frozen=True)
-class SequenceStats:
-    n_bricks: int
-    n_eop: int
-    length: int
+SequenceStats = namedtuple("SequenceStats", "n_bricks n_eop length")
 
 
 def sequence_stats(sequence: TokenSequence) -> SequenceStats:

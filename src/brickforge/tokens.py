@@ -9,9 +9,9 @@ specials first, then coordinates, sizes, F, M.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .bricks import GRID, SIZE_VALUES
+from .bricks import GRID, SIZE_VALUES, _Record
 from .attach import F_RANGE, M_RANGE
 from .errors import MalformedSequenceError
 
@@ -27,10 +27,17 @@ KIND_M = "M"
 _SIZE_INDEX = {v: i for i, v in enumerate(SIZE_VALUES)}
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    value: int | None = None
+class Token(_Record):
+    """One codebook symbol: a kind and, except for the specials, its value."""
+
+    __slots__ = ("kind", "value")
+
+    def __init__(self, kind: str, value: int | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "value", value)
+
+    def _key(self) -> tuple[str, int | None]:
+        return self.kind, self.value
 
     def __repr__(self):
         return self.kind if self.value is None else f"{self.kind}({self.value})"
@@ -81,12 +88,7 @@ def token_from_id(tid: int) -> Token:
     return _TOKEN_BY_ID[tid]
 
 
-@dataclass(frozen=True)
-class CodebookEntry:
-    id: int
-    kind: str
-    value: int | None
-    name: str
+CodebookEntry = namedtuple("CodebookEntry", "id kind value name")
 
 
 def codebook() -> list[CodebookEntry]:

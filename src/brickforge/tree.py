@@ -3,20 +3,21 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
 from .attach import encode_attachment
 from .bricks import BrickAssembly, attachment_adjacency, connected_components, root_index
-from .errors import DisconnectedGraphError
+from .errors import DisconnectedGraphError, EmptyAssemblyError
 
 
-@dataclass
 class AttachmentTree:
     """BFS spanning tree: per-parent children sorted by f, and the BFS order."""
 
-    root: int
-    children: dict[int, list[int]] = field(default_factory=dict)
-    bfs_order: list[int] = field(default_factory=list)
+    __slots__ = ("root", "children", "bfs_order")
+
+    def __init__(self, root: int):
+        self.root = root
+        self.children: dict[int, list[int]] = {}
+        self.bfs_order: list[int] = []
 
 
 def build_spanning_tree(assembly: BrickAssembly) -> AttachmentTree:
@@ -24,15 +25,15 @@ def build_spanning_tree(assembly: BrickAssembly) -> AttachmentTree:
     dequeued neighbor; a parent's children are enqueued in increasing order
     of their parent-side attachment token f.
 
-    Raises DisconnectedGraphError when the attachment graph has more than
-    one component.
+    Raises EmptyAssemblyError on no bricks, DisconnectedGraphError when the
+    attachment graph has more than one component.
     """
     bricks = assembly.bricks
     if not bricks:
-        raise DisconnectedGraphError(0)
+        raise EmptyAssemblyError("assembly has no bricks")
     adj = attachment_adjacency(assembly)
     root = root_index(assembly)
-    tree = AttachmentTree(root=root)
+    tree = AttachmentTree(root)
     visited = [False] * len(bricks)
     visited[root] = True
     queue = deque([root])

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -20,6 +21,7 @@ from brickforge.errors import (
     OutOfBoundsError,
     SizeNotInLibraryError,
 )
+from brickforge.tokens import Token
 from brickforge.tree import build_spanning_tree
 
 from conftest import (
@@ -67,6 +69,57 @@ def test_brick_validation():
         Brick(1, 1, 0, 0, 20)
     with pytest.raises(OutOfBoundsError):
         Brick(1, 1, -1, 0, 0)
+
+
+@pytest.mark.parametrize("cls, fields, text, larger", [
+    (Brick, (2, 4, 0, 0, 0), "Brick(h=2, w=4, x=0, y=0, z=0)", (2, 4, 0, 1, 0)),
+    (Token, ("COORD", 5), "COORD(5)", ("COORD", 6)),
+])
+def test_value_type_acts_as_a_frozen_ordered_dataclass(cls, fields, text, larger):
+    a, b, c = cls(*fields), cls(*fields), cls(*larger)
+    assert repr(a) == text
+    assert a == b and a is not b and not a != b and hash(a) == hash(b) == hash(fields)
+    assert a != c and sorted([c, a, b]) == [a, b, c] and a < c and a <= b and c > a and c >= a
+    assert a != fields and fields != a and list(fields) != a  # equal only to its own type
+    with pytest.raises(TypeError):
+        a < fields
+    assert [getattr(a, name) for name in cls.__slots__] == list(fields)
+    assert not hasattr(a, "__dict__")
+    for name in cls.__slots__ + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == b  # unchanged
+
+
+def test_brick_fields_go_through_operator_index():
+    brick = Brick(*map(np.int64, (2, 4, 1, 2, 3)))
+    assert brick == Brick(2, 4, 1, 2, 3)
+    assert all(type(getattr(brick, name)) is int for name in "hwxyz")
+    assert json.loads(BrickAssembly((brick,)).to_json()) == {
+        "bricks": [{"h": 2, "w": 4, "x": 1, "y": 2, "z": 3}]}
+    for fields in [(2, 2, 1.0, 0, 0), (2.0, 2, 0, 0, 0), (2, 2, 0, "0", 0), (2, 2, 0, 0, None)]:
+        with pytest.raises(MalformedInputError, match="are not all ints"):
+            Brick(*fields)
+    with pytest.raises(MalformedInputError):
+        BrickAssembly((Brick(2, 2, 1.0, 0, 0),))
+
+
+def test_is_free_matches_the_numpy_slice(rng):
+    """Every catalog footprint, so 1 x k and 2 x k in both orientations,
+    against ``occupancy[...].any()`` on seeded assemblies."""
+    seen = set()
+    for n in (5, 40, 120):
+        a = grow_random_assembly(rng, n, max_z=4)
+        for h, w in CATALOG:
+            for _ in range(40):
+                x, y = int(rng.integers(0, GRID - h + 1)), int(rng.integers(0, GRID - w + 1))
+                z = int(rng.integers(0, 4))
+                free = not a.occupancy[x:x + h, y:y + w, z].any()
+                assert a.is_free(h, w, x, y, z) is free, (h, w, x, y, z)
+                seen.add((h, w, free))
+    assert seen == {(h, w, free) for h, w in CATALOG for free in (True, False)}
 
 
 def test_place_on_empty():

@@ -1,3 +1,4 @@
+import json
 import re
 import sys
 import textwrap
@@ -353,6 +354,42 @@ class TestGenerateContracts:
         with pytest.raises(BudgetExhaustedError) as err:
             generate(ScriptedPolicy((19, 19, 0, 2, 2), []), grid_with([(4, 4, 0)]), budgets)
         assert err.value.kind == "root_resamples"
+
+    @pytest.mark.parametrize("first_root, code", [
+        ((4, 4, 0, 3, 3), "size_not_in_library"),
+        ((19, 19, 0, 2, 2), "out_of_bounds"),
+    ])
+    def test_rejected_root_counts_under_its_error_code(self, first_root, code):
+        class TwoRoots(ScriptedPolicy):
+            def propose_root(self, target, rng):
+                self.roots = getattr(self, "roots", 0) + 1
+                return first_root if self.roots == 1 else self.root
+
+        result = generate(TwoRoots((4, 4, 0, 2, 2), []), grid_with([(4, 4, 0)]))
+        assert result.trace.rejected == {code: 1} and result.trace.resamples == 1
+        assert result.assembly.bricks == (Brick(2, 2, 4, 4, 0),)
+
+    @pytest.mark.parametrize("root, actions", [
+        ((5.0, 5, 0, 2, 2), []),
+        ((4, 4, 0, 2, 2), [(1, 2, 2, 0.0)]),
+        ((4, 4, 0, 2, 2), [(1.0, 2, 2, 0)]),
+        ((4, 4, 0, 2, 2), [(1, 2.0, 2, 0)]),
+        (("4", 4, 0, 2, 2), []),
+    ])
+    def test_non_integer_proposal_is_a_domain_error(self, root, actions):
+        with pytest.raises(MalformedInputError, match="are not all ints"):
+            generate(ScriptedPolicy(root, actions), grid_with([(4, 4, 0), (5, 4, 1)]))
+
+    def test_numpy_integer_proposals_give_a_plain_result(self):
+        root, actions = (4, 4, 0, 2, 2), [(1, 2, 2, 0), None]
+        as_numpy = ScriptedPolicy(tuple(np.int64(v) for v in root),
+                                  [tuple(np.int64(v) for v in actions[0]), None])
+        target = grid_with([(4, 4, 0), (5, 4, 1)])
+        result = generate(as_numpy, target)
+        assert result.assembly.to_json() == generate(ScriptedPolicy(root, actions), target) \
+            .assembly.to_json()
+        assert json.loads(result.assembly.to_json())["bricks"][1] == \
+            {"h": 2, "w": 2, "x": 5, "y": 4, "z": 1}
 
 
 POLICY_SCRIPT = textwrap.dedent("""

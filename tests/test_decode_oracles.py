@@ -189,8 +189,9 @@ def test_action_table_rows_decode_like_decode_attachment():
         for row in range(0, len(actions), 7):
             brick, reason = validate_tuple_reference(state, *actions[row])
             if brick is not None:
-                dx, dy, dz = offsets[actions[row]]
+                dx, dy, dz, h, w = offsets[actions[row]]
                 assert (brick.x - parent.x, brick.y - parent.y, brick.z - parent.z) == (dx, dy, dz)
+                assert (h, w) == (brick.h, brick.w)
                 assert tuple(table[row]) == (dx, dy, dz, brick.h, brick.w)
 
 
@@ -199,15 +200,15 @@ def test_every_table_row_is_the_offset_decode_attachment_places(ph, pw):
     actions, offsets, table = decode._action_table(ph, pw)
     canonical = 0
     for row, (f, h, w, m) in enumerate(actions):
-        dx, dy, dz = offsets[f, h, w, m]
-        assert tuple(table[row]) == (dx, dy, dz, h, w)
+        dx, dy, dz, rh, rw = offsets[f, h, w, m]
+        assert (rh, rw) == (h, w) and tuple(table[row]) == (dx, dy, dz, h, w)
         parent = Brick(ph, pw, max(0, -dx), max(0, -dy), 1)  # the child fits in the grid
         child = decode_attachment(f, m, parent, (h, w))
         assert child == Brick(h, w, parent.x + dx, parent.y + dy, parent.z + dz)
         # several rows place the same child; encoding names the one whose
         # shared stud is the low corner of the footprint overlap
         code = encode_attachment(parent, child)
-        assert offsets[code.f, h, w, code.m] == (dx, dy, dz)
+        assert offsets[code.f, h, w, code.m] == (dx, dy, dz, h, w)
         up, vp, uc, vc = f % (ph * pw) % ph, f % (ph * pw) // ph, m % h, m // h
         if min(up, uc) == 0 and min(vp, vc) == 0:
             assert code == AttachmentCode(f, m)

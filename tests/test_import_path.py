@@ -1,6 +1,7 @@
 """Importing the package loads neither scipy nor numpy, so the commands that
 never solve an LP, build a kd-tree or touch a voxel grid start without paying
-for either import."""
+for either import; nor does the CLI load ``dataclasses``, and each command
+loads only the package modules it uses."""
 
 import os
 import re
@@ -15,6 +16,7 @@ import brickforge
 SRC = Path(__file__).resolve().parents[1] / "src"
 SCIPY_MODULES = "[m for m in sys.modules if m.startswith('scipy')]"
 NUMPY_MODULES = "[m for m in sys.modules if m.startswith('numpy')]"
+PACKAGE_MODULES = "sorted(m for m in sys.modules if m.startswith('brickforge.'))"
 
 # Every name the package exports, pinned.
 EXPORTS = """
@@ -83,6 +85,21 @@ def test_commands_without_lp_or_chamfer_load_no_scipy(argv, tmp_path):
 @pytest.mark.parametrize("argv", LIGHT_COMMANDS)
 def test_light_commands_load_no_numpy(argv, tmp_path):
     assert run_command(argv, NUMPY_MODULES, tmp_path) == "0 []"
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect(tmp_path):
+    code = "import sys, brickforge.cli; print('dataclasses' in sys.modules, 'inspect' in sys.modules)"
+    assert run_python(code, tmp_path) == "False False"
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["validate", "a.json"], ["bricks", "cli", "errors"]),
+    (["export-ldraw", "a.json"], ["bricks", "cli", "errors", "ldraw"]),
+    (["tokenize", "a.json"], ["attach", "bricks", "cli", "errors", "tokenizer", "tokens", "tree"]),
+])
+def test_light_commands_load_only_the_modules_they_use(argv, modules, tmp_path):
+    loaded = [f"brickforge.{m}" for m in modules]
+    assert run_command(argv, PACKAGE_MODULES, tmp_path) == f"0 {loaded}"
 
 
 def test_every_export_resolves_and_is_listed():

@@ -208,6 +208,19 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "collision"
 
+    @pytest.mark.parametrize("command, code, out, err", [
+        ("tokenize", 1, "", {"error": "empty_assembly", "detail": "assembly has no bricks"}),
+        ("roundtrip", 1, "", {"error": "empty_assembly", "detail": "assembly has no bricks"}),
+        ("validate", 0, {"valid": True, "bricks": 0, "connected": True}, None),
+    ])
+    def test_empty_assembly_answer(self, command, code, out, err, tmp_path, capsys):
+        empty = tmp_path / "empty.json"
+        empty.write_text('{"bricks": []}')
+        assert main([command, str(empty)]) == code
+        captured = capsys.readouterr()
+        assert (json.loads(captured.out) if captured.out else "") == out
+        assert (json.loads(captured.err) if captured.err else None) == err
+
     def test_score_rejects_non_finite_cloud(self, assembly_file, tmp_path, capsys):
         cloud = tmp_path / "nan.xyz"
         cloud.write_text("0 0 0\n1 2 3\nnan 1 1\n4 4 4\n")
