@@ -91,11 +91,6 @@ class Brick(_Record):
         return Brick(*values)
 
 
-def footprints_overlap(a: Brick, b: Brick) -> bool:
-    return (a.x < b.x + b.h and b.x < a.x + a.h
-            and a.y < b.y + b.w and b.y < a.y + a.w)
-
-
 def _stamp(cells: bytearray, brick: Brick) -> None:
     """Mark ``brick``'s cells in the flat grid ``cells`` (cell (x, y, z) at
     ``(x*GRID + y)*GRID + z``); raises CollisionError naming the first
@@ -114,6 +109,17 @@ def _stamp(cells: bytearray, brick: Brick) -> None:
     ones = b"\x01" * n
     for i in lines:
         cells[i:i + n * step:step] = ones
+
+
+def is_free(cells, h: int, w: int, x: int, y: int, z: int) -> bool:
+    """True when no cell of the in-workspace h x w footprint at (x, y, z) is
+    taken in the flat grid ``cells``: one strided slice per line along the
+    long side, as in ``_stamp``."""
+    start = (x * GRID + y) * GRID + z
+    step, across, n = (GRID, GRID * GRID, w) if h <= w else (GRID * GRID, GRID, h)
+    end = start + n * step
+    return not (1 in cells[start:end:step]
+                or min(h, w) == 2 and 1 in cells[start + across:end + across:step])
 
 
 class BrickAssembly:
@@ -146,13 +152,8 @@ class BrickAssembly:
         return self._bricks
 
     def is_free(self, h: int, w: int, x: int, y: int, z: int) -> bool:
-        """True when no cell of the in-workspace h x w footprint at (x, y, z) is
-        taken: one strided slice per line along the long side, as in ``_stamp``."""
-        start = (x * GRID + y) * GRID + z
-        step, across, n = (GRID, GRID * GRID, w) if h <= w else (GRID * GRID, GRID, h)
-        end = start + n * step
-        return not (1 in self._cells[start:end:step]
-                    or min(h, w) == 2 and 1 in self._cells[start + across:end + across:step])
+        """True when no cell of the in-workspace h x w footprint at (x, y, z) is taken."""
+        return is_free(self._cells, h, w, x, y, z)
 
     @property
     def occupancy(self):
@@ -215,8 +216,10 @@ def attachment_edges(assembly: BrickAssembly) -> set[tuple[int, int]]:
         upper = layers.get(z + 1, ())
         for i in lower:
             a = bricks[i]
-            for j in upper:
-                if footprints_overlap(a, bricks[j]):
+            ax, ay, ax1, ay1 = a.x, a.y, a.x + a.h, a.y + a.w
+            for j in upper:  # attached when the footprints overlap
+                b = bricks[j]
+                if ax < b.x + b.h and b.x < ax1 and ay < b.y + b.w and b.y < ay1:
                     edges.add((i, j) if i < j else (j, i))
     return edges
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attach import attachment_offset, decode_attachment
-from .bricks import CATALOG_SIZES, GRID, Brick, BrickAssembly
+from .bricks import CATALOG_SIZES, GRID, Brick, BrickAssembly, is_free
 from .errors import (
     BudgetExhaustedError,
     EmptyTargetError,
@@ -88,7 +88,7 @@ def validate_tuple(state: DecodeState, f: int, h: int, w: int, m: int):
     parent = state.current_parent()
     row = _action_table(parent.h, parent.w)[1].get((f, h, w, m))
     if row is None:  # not a row of the table: name the first field out of range
-        return None, (REJECT_CONNECTOR if not 0 <= f < 2 * parent.h * parent.w
+        return None, (REJECT_CONNECTOR if f not in range(2 * parent.h * parent.w)
                       else REJECT_SIZE if (h, w) not in CATALOG_SIZES else REJECT_ANCHOR)
     if f <= state.f_floor:
         return None, REJECT_NON_MONOTONE
@@ -96,7 +96,7 @@ def validate_tuple(state: DecodeState, f: int, h: int, w: int, m: int):
     x, y, z = parent.x + dx, parent.y + dy, parent.z + dz
     if not (0 <= x <= GRID - rh and 0 <= y <= GRID - rw and 0 <= z < GRID):
         return None, REJECT_BOUNDS
-    if not state.assembly().is_free(rh, rw, x, y, z):
+    if not is_free(state.cells, rh, rw, x, y, z):
         return None, REJECT_COLLISION
     return decode_attachment(f, m, parent, (h, w)), None
 
@@ -194,7 +194,8 @@ class GreedyGeometryPolicy(Policy):
         x, y, z, h, w = placed[inside].T
         layers = [k for k in (parent.z - 1, parent.z + 1) if 0 <= k < GRID]
         sat = np.zeros((2, GRID + 1, GRID + 1, GRID), dtype=np.int64)  # occupancy, target
-        grids = np.stack([state.assembly().occupancy[..., layers], target.occupancy[..., layers]])
+        occupied = np.frombuffer(state.cells, dtype=bool).reshape(GRID, GRID, GRID)
+        grids = np.stack([occupied[..., layers], target.occupancy[..., layers]])
         sat[:, 1:, 1:, layers] = grids.cumsum(1).cumsum(2)
         box = sat[:, x + h, y + w, z] - sat[:, x, y + w, z] - sat[:, x + h, y, z] + sat[:, x, y, z]
         free = box[0] == 0

@@ -26,21 +26,17 @@ CELL_UNITS = 20
 LAYER_UNITS = 24
 COLOR = 4
 
-_IDENTITY = (1, 0, 0, 0, 1, 0, 0, 0, 1)
-_ROT90_Y = (0, 0, 1, 0, 1, 0, -1, 0, 0)
+# LDraw rotation matrices, row-major: parts put their long axis along LDraw x,
+# so a brick whose long side runs along our y is turned a quarter about y
+_IDENTITY = "1 0 0 0 1 0 0 0 1"
+_ROT90_Y = "0 0 1 0 1 0 -1 0 0"
 
 
 def _brick_line(brick: Brick) -> str:
-    part = PART_IDS[tuple(sorted((brick.h, brick.w)))]
-    # parts put their long axis along LDraw x; rotate when ours runs along y
-    matrix = _IDENTITY if brick.h >= brick.w else _ROT90_Y
-    x = CELL_UNITS * (2 * brick.x + brick.h) // 2
-    z = CELL_UNITS * (2 * brick.y + brick.w) // 2
-    y = -LAYER_UNITS * brick.z
-    fields = ["1", str(COLOR), str(x), str(y), str(z)]
-    fields += [str(v) for v in matrix]
-    fields.append(f"{part}.dat")
-    return " ".join(fields)
+    h, w = brick.h, brick.w
+    part, matrix = (PART_IDS[w, h], _IDENTITY) if h >= w else (PART_IDS[h, w], _ROT90_Y)
+    return (f"1 {COLOR} {CELL_UNITS * (2 * brick.x + h) // 2} {-LAYER_UNITS * brick.z}"
+            f" {CELL_UNITS * (2 * brick.y + w) // 2} {matrix} {part}.dat")
 
 
 def export_ldraw(assembly: BrickAssembly) -> str:

@@ -189,6 +189,8 @@ def stability_scores(assembly: BrickAssembly, params: PhysicsParams | None = Non
     n = len(assembly.bricks)
     if n == 0:
         return StabilityReport(scores=[], feasible=True)
+    if all(b.z for b in assembly.bricks):  # nothing stands on z = 0: every component floats
+        return StabilityReport(scores=[0.0] * n, brick_slack=[math.inf] * n, feasible=False)
 
     components = connected_components(assembly)
     grounded: list[int] = []
@@ -204,8 +206,6 @@ def stability_scores(assembly: BrickAssembly, params: PhysicsParams | None = Non
     slack = [math.inf] * n
     report = StabilityReport(scores=scores, brick_slack=slack,
                              feasible=not floating)
-    if not grounded:
-        return report
 
     program = assemble_equilibrium_program(assembly, params, grounded)
     result = _solve(program, _SOLVER_OPTIONS)

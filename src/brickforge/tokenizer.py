@@ -17,8 +17,10 @@ import warnings
 from bisect import bisect_left
 from collections import deque, namedtuple
 
-from .attach import decode_attachment, encode_attachment
-from .bricks import Brick, BrickAssembly, CATALOG_SIZES, place
+from .attach import decode_attachment
+from .bricks import GRID, Brick, BrickAssembly, CATALOG_SIZES, _stamp
+from .attach import encode_attachment  # bound only for bench/tracer.py (ROADMAP item 11)
+from .bricks import place  # bound only for bench/tracer.py (ROADMAP item 11)
 from .errors import (
     BrickforgeError,
     InconsistentSequenceError,
@@ -57,14 +59,14 @@ def tokenize(assembly: BrickAssembly) -> TokenSequence:
     when the attachment graph has more than one component.
     """
     tree = build_spanning_tree(assembly)
-    bricks = assembly.bricks
+    bricks, codes = assembly.bricks, tree.codes
     root = bricks[tree.root]
     body: list[Token] = [coord(root.x), coord(root.y), coord(root.z), size(root.h), size(root.w)]
     for p in tree.bfs_order:
         for c in tree.children[p]:
-            code = encode_attachment(bricks[p], bricks[c])
+            f, m = codes[c]
             child = bricks[c]
-            body += [f_token(code.f), size(child.h), size(child.w), m_token(code.m)]
+            body += [f_token(f), size(child.h), size(child.w), m_token(m)]
         body.append(EOP)
     return _close(body)
 
@@ -92,6 +94,9 @@ def _root(header) -> Brick:
     return Brick(h, w, x, y, z)
 
 
+_TUPLE_KINDS = (KIND_F, KIND_SIZE, KIND_SIZE, KIND_M)
+
+
 def _items(groups):
     """Split the tokens after the root header into EOP (``None``) and
     (f, h, w, m) items, each yielded with the index just past it."""
@@ -102,7 +107,8 @@ def _items(groups):
             yield idx, None
             continue
         group = groups[idx:idx + 4]
-        if [t.kind for t in group] != [KIND_F, KIND_SIZE, KIND_SIZE, KIND_M]:
+        if len(group) < 4 or (group[0].kind, group[1].kind,
+                              group[2].kind, group[3].kind) != _TUPLE_KINDS:
             raise MalformedSequenceError(
                 f"expected (f,h,w,m) tuple at body position {idx}, got {group}")
         f, h, w, m = group
@@ -112,7 +118,8 @@ def _items(groups):
 
 class DecodeState:
     """The BFS state machine over the sequence grammar: token prefix, the
-    partial assembly (grown through :func:`place`) and the parent queue."""
+    partial assembly and the parent queue.  ``cells`` is the assembly's flat
+    occupancy in ``_stamp``'s layout, stamped in place: read it, never write it."""
 
     def __init__(self):
         self.bricks: list[Brick] = []
@@ -122,7 +129,8 @@ class DecodeState:
         self.queue: deque[int] = deque()
         self.current: int | None = None
         self.f_floor: int = -1
-        self._assembly = BrickAssembly()
+        self.cells = bytearray(GRID ** 3)
+        self._snapshot: BrickAssembly | None = None
 
     @property
     def started(self) -> bool:
@@ -137,7 +145,8 @@ class DecodeState:
 
     def apply_root(self, brick: Brick):
         assert not self.started
-        self._assembly = place(self._assembly, brick)
+        _stamp(self.cells, brick)
+        self._snapshot = None
         self.bricks.append(brick)
         self.parent_of.append(None)
         self.tuple_start.append(0)
@@ -147,7 +156,8 @@ class DecodeState:
         self.f_floor = -1
 
     def apply_tuple(self, f: int, h: int, w: int, m: int, brick: Brick):
-        self._assembly = place(self._assembly, brick)
+        _stamp(self.cells, brick)
+        self._snapshot = None
         self.tuple_start.append(len(self.body))
         self.body += [f_token(f), size(h), size(w), m_token(m)]
         self.parent_of.append(self.current)
@@ -191,7 +201,8 @@ class DecodeState:
             raise ValueError(f"body position {n} is not between items")
         keep = bisect_left(self.tuple_start, n)
         del body[n:], self.bricks[keep:], self.parent_of[keep:], self.tuple_start[keep:]
-        self._assembly = BrickAssembly(tuple(self.bricks))
+        self._snapshot = BrickAssembly(tuple(self.bricks))
+        self.cells = bytearray(self._snapshot._cells)
         # parents are dequeued in brick order, one per EOP
         eops = sum(t.kind == KIND_EOP for t in body)
         self.current = eops if eops < keep else None
@@ -199,7 +210,10 @@ class DecodeState:
         self.f_floor = body[-4].value if body and body[-1].kind == KIND_M else -1
 
     def assembly(self) -> BrickAssembly:
-        return self._assembly
+        """An immutable snapshot of the partial assembly, cached until the next change."""
+        if self._snapshot is None:
+            self._snapshot = BrickAssembly._checked(tuple(self.bricks), bytes(self.cells))
+        return self._snapshot
 
     def finalize(self) -> TokenSequence:
         """Complete sequence for the current prefix: trailing EOP tokens are

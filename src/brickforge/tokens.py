@@ -158,31 +158,29 @@ class TokenSequence(tuple):
         coordinates, H/W for sizes); tokens outside the expected structure
         fall back to canonical C#/S# names so the renderer is total.
         """
-        expect = ["X", "Y", "Z", "H", "W"]  # consumed after BOS
-        group = []  # label cycle inside child tuples
         out = []
+        header, sizes = 0, 2  # labels used of "XYZHW", and of a tuple's "HW" (2: none due)
         for tok in self:
-            if tok.kind in (KIND_BOS, KIND_EOS, KIND_PAD, KIND_EOP):
-                out.append(tok.kind)
-                if tok.kind == KIND_EOP:
-                    group = []
-                continue
-            if tok.kind == KIND_COORD:
-                label = expect.pop(0) if expect and expect[0] in "XYZ" else "C"
-                out.append(f"{label}{tok.value}")
-            elif tok.kind == KIND_SIZE:
-                if expect and expect[0] in "HW":
-                    out.append(f"{expect.pop(0)}{tok.value}")
-                elif group and group[0] in "HW":
-                    out.append(f"{group.pop(0)}{tok.value}")
+            kind = tok.kind
+            if kind == KIND_SIZE:
+                if 3 <= header < 5:
+                    label, header = "XYZHW"[header], header + 1
+                elif sizes < 2:
+                    label, sizes = "HW"[sizes], sizes + 1
                 else:
-                    out.append(f"S{tok.value}")
-            elif tok.kind == KIND_F:
-                out.append(f"F{tok.value}")
-                group = ["H", "W", "M"]
+                    label = "S"
+            elif kind == KIND_F:
+                label, sizes = "F", 0
+            elif kind == KIND_COORD:
+                label, header = ("XYZ"[header], header + 1) if header < 3 else ("C", header)
+            elif kind in _SPECIALS:
+                out.append(kind)
+                if kind == KIND_EOP:
+                    sizes = 2
+                continue
             else:  # M
-                out.append(f"M{tok.value}")
-                group = []
+                label, sizes = "M", 2
+            out.append(f"{label}{tok.value}")
         return " ".join(out)
 
     @staticmethod

@@ -12,14 +12,15 @@ import numpy as np
 import pytest
 
 from brickforge import decode
-from brickforge.attach import decode_attachment
+from brickforge.attach import decode_attachment, encode_attachment
 from brickforge.bricks import (
     CATALOG_SIZES,
     GRID,
     Brick,
     BrickAssembly,
+    attachment_adjacency,
     connected_components,
-    footprints_overlap,
+    root_index,
 )
 from brickforge.decode import (
     OVERFLOW_PENALTY,
@@ -34,6 +35,8 @@ from brickforge.decode import (
 from brickforge.errors import (
     BrickforgeError,
     CollisionError,
+    DisconnectedGraphError,
+    EmptyAssemblyError,
     EmptyCloudError,
     EmptyTargetError,
     InconsistentSequenceError,
@@ -42,6 +45,7 @@ from brickforge.errors import (
     TuplesAfterQueueEmptyError,
 )
 from brickforge.geometry import PointCloud, SurfaceMesh, VoxelGrid
+from brickforge.ldraw import CELL_UNITS, COLOR, LAYER_UNITS, PART_IDS
 from brickforge.stability import (
     _SOLVER_OPTIONS,
     SLACK_PENALTY,
@@ -52,13 +56,22 @@ from brickforge.stability import (
 )
 from brickforge.tokenizer import NonMonotoneFWarning, SequenceStats
 from brickforge.tokens import (
+    BOS,
+    EOP,
+    EOS,
+    KIND_BOS,
     KIND_COORD,
     KIND_EOP,
     KIND_EOS,
     KIND_F,
     KIND_M,
+    KIND_PAD,
     KIND_SIZE,
     TokenSequence,
+    coord,
+    f_token,
+    m_token,
+    size,
 )
 
 CATALOG = sorted(CATALOG_SIZES)
@@ -119,6 +132,12 @@ def place_reference(assembly: BrickAssembly, brick: Brick) -> BrickAssembly:
     assembly through the validating constructor."""
     stamp_reference(assembly.occupancy.copy(), brick)
     return BrickAssembly(assembly.bricks + (brick,))
+
+
+def footprints_overlap(a: Brick, b: Brick) -> bool:
+    """The footprint test that ``attachment_edges`` inlines."""
+    return (a.x < b.x + b.h and b.x < a.x + a.h
+            and a.y < b.y + b.w and b.y < a.y + a.w)
 
 
 def attached(a: Brick, b: Brick) -> bool:
@@ -465,6 +484,103 @@ def replay_checked_reference(body) -> tuple:
         state.apply_tuple(f, h, w, m, brick)
         idx += 4
     return state.fingerprint()
+
+
+# The codec as it was before each tree edge was encoded once, the decoder
+# stamped one occupancy buffer and LDraw lines became single f-strings, kept
+# as oracles: the spanning tree that sorted children by a fresh encoding,
+# the tokenizer that encoded every edge again, the list-building renderers.
+# The decoder's oracles are the walkers above, ``detokenize_reference`` and
+# ``detokenize_lenient_reference``.
+def build_spanning_tree_reference(assembly: BrickAssembly) -> tuple:
+    """(root, children, bfs_order) of the BFS spanning tree."""
+    bricks = assembly.bricks
+    if not bricks:
+        raise EmptyAssemblyError("assembly has no bricks")
+    adj = attachment_adjacency(assembly)
+    root = root_index(assembly)
+    children: dict[int, list[int]] = {}
+    bfs_order: list[int] = []
+    visited = [False] * len(bricks)
+    visited[root] = True
+    queue = deque([root])
+    while queue:
+        p = queue.popleft()
+        bfs_order.append(p)
+        unvisited = [c for c in adj[p] if not visited[c]]
+        unvisited.sort(key=lambda c: encode_attachment(bricks[p], bricks[c]).f)
+        children[p] = unvisited
+        for c in unvisited:
+            visited[c] = True
+            queue.append(c)
+    if len(bfs_order) != len(bricks):
+        raise DisconnectedGraphError(len(connected_components(assembly)))
+    return root, children, bfs_order
+
+
+def tokenize_reference(assembly: BrickAssembly) -> TokenSequence:
+    root, children, bfs_order = build_spanning_tree_reference(assembly)
+    bricks = assembly.bricks
+    r = bricks[root]
+    body = [coord(r.x), coord(r.y), coord(r.z), size(r.h), size(r.w)]
+    for p in bfs_order:
+        for c in children[p]:
+            code = encode_attachment(bricks[p], bricks[c])
+            child = bricks[c]
+            body += [f_token(code.f), size(child.h), size(child.w), m_token(code.m)]
+        body.append(EOP)
+    while body and body[-1].kind == KIND_EOP:
+        body.pop()
+    return TokenSequence([BOS] + body + [EOS])
+
+
+_IDENTITY_REFERENCE = (1, 0, 0, 0, 1, 0, 0, 0, 1)
+_ROT90_Y_REFERENCE = (0, 0, 1, 0, 1, 0, -1, 0, 0)
+
+
+def export_ldraw_reference(assembly: BrickAssembly) -> str:
+    lines = ["0 brickforge model", "0 Name: model.ldr"]
+    for brick in assembly.bricks:
+        part = PART_IDS[tuple(sorted((brick.h, brick.w)))]
+        matrix = _IDENTITY_REFERENCE if brick.h >= brick.w else _ROT90_Y_REFERENCE
+        x = CELL_UNITS * (2 * brick.x + brick.h) // 2
+        z = CELL_UNITS * (2 * brick.y + brick.w) // 2
+        y = -LAYER_UNITS * brick.z
+        fields = ["1", str(COLOR), str(x), str(y), str(z)]
+        fields += [str(v) for v in matrix]
+        fields.append(f"{part}.dat")
+        lines.append(" ".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+def to_text_reference(sequence: TokenSequence) -> str:
+    """The label-list ``TokenSequence.to_text``."""
+    expect = ["X", "Y", "Z", "H", "W"]
+    group = []
+    out = []
+    for tok in sequence:
+        if tok.kind in (KIND_BOS, KIND_EOS, KIND_PAD, KIND_EOP):
+            out.append(tok.kind)
+            if tok.kind == KIND_EOP:
+                group = []
+            continue
+        if tok.kind == KIND_COORD:
+            label = expect.pop(0) if expect and expect[0] in "XYZ" else "C"
+            out.append(f"{label}{tok.value}")
+        elif tok.kind == KIND_SIZE:
+            if expect and expect[0] in "HW":
+                out.append(f"{expect.pop(0)}{tok.value}")
+            elif group and group[0] in "HW":
+                out.append(f"{group.pop(0)}{tok.value}")
+            else:
+                out.append(f"S{tok.value}")
+        elif tok.kind == KIND_F:
+            out.append(f"F{tok.value}")
+            group = ["H", "W", "M"]
+        else:
+            out.append(f"M{tok.value}")
+            group = []
+    return " ".join(out)
 
 
 def expected_rollback_fingerprint(sequence, scores) -> tuple:

@@ -90,6 +90,17 @@ class TestValidateTuple:
         brick, reason = validate_tuple(state, 0, 2, 2, 0)
         assert reason is None and brick == Brick(2, 2, 5, 5, 1)
 
+    @pytest.mark.parametrize("action, expected", [
+        ((1.5, 2, 2, 0), "connector_out_of_range"),
+        ((1, 2.5, 2, 0), "size_not_in_library"),
+        ((1, 2, 2, 0.5), "anchor_out_of_range"),
+    ])
+    def test_a_non_integer_field_is_named(self, action, expected):
+        state = state_for(Brick(2, 4, 5, 5, 0))
+        before = state.fingerprint()
+        assert validate_tuple(state, *action) == (None, expected)
+        assert state.fingerprint() == before
+
 
 class TestPolicies:
     def test_uniform_generations_all_valid(self):

@@ -14,7 +14,7 @@ from brickforge.stability import (
     stability_scores,
 )
 
-from conftest import CATALOG, grow_random_assembly
+from conftest import CATALOG, grow_random_assembly, stability_scores_reference
 
 
 def classify(report):
@@ -52,6 +52,23 @@ class TestOracleCases:
         report = stability_scores(BrickAssembly((Brick(1, 1, 0, 0, 3),)))
         assert report.scores == [0.0]
         assert not report.feasible
+
+    def test_floating_components_report(self, monkeypatch):
+        # two components, neither standing on z = 0: the report is pinned
+        # without a graph or an LP
+        def unused(*args):
+            raise AssertionError("a floating assembly needs no graph or LP")
+
+        monkeypatch.setattr(stability, "connected_components", unused)
+        monkeypatch.setattr(stability, "linprog", unused)
+        a = BrickAssembly((Brick(2, 2, 0, 0, 1), Brick(2, 4, 1, 1, 2), Brick(1, 1, 9, 9, 5)))
+        report = stability_scores(a)
+        assert report.scores == [0.0, 0.0, 0.0]
+        assert report.brick_slack == [math.inf] * 3
+        assert not report.feasible
+        assert report.tension_scale == 0.0
+        assert report.to_json() == stability_scores_reference(a).to_json()
+        assert report.brick_slack == stability_scores_reference(a).brick_slack
 
     def test_cantilever(self):
         # a 1x8 held by a single end stud cannot balance its own weight:
