@@ -151,10 +151,6 @@ class BrickAssembly:
     def bricks(self) -> tuple[Brick, ...]:
         return self._bricks
 
-    def is_free(self, h: int, w: int, x: int, y: int, z: int) -> bool:
-        """True when no cell of the in-workspace h x w footprint at (x, y, z) is taken."""
-        return is_free(self._cells, h, w, x, y, z)
-
     @property
     def occupancy(self):
         """Read-only 20x20x20 boolean numpy grid, a view of the cell bytes

@@ -8,7 +8,7 @@ legality, then bounds and collision against the partial occupancy) and
 resamples on rejection.  After a complete structure is produced its
 stability is scored; if some brick is unstable, the sequence is truncated
 to just before the tokens of that brick's parent and decoding resumes
-from that prefix state, up to a rollback budget.
+from that prefix state; past the rollback budget the first attempt is returned.
 """
 
 from __future__ import annotations
@@ -346,15 +346,20 @@ class RollbackEvent:
 
 @dataclass
 class GenerateTrace:
-    resamples: int = 0
-    rollbacks: int = 0
     forced_eops: int = 0
     rejected: dict[str, int] = field(default_factory=dict)
     budget_exhausted: str | None = None
     rollback_events: list[RollbackEvent] = field(default_factory=list)
 
+    @property
+    def resamples(self) -> int:
+        return sum(self.rejected.values())
+
+    @property
+    def rollbacks(self) -> int:
+        return len(self.rollback_events)
+
     def reject(self, reason: str):
-        self.resamples += 1
         self.rejected[reason] = self.rejected.get(reason, 0) + 1
 
     def to_dict(self) -> dict:
@@ -443,29 +448,24 @@ def generate(policy: Policy, target: VoxelGrid,
     detokenizable by construction.  When the completed structure contains an
     unstable brick, a parent-aware rollback truncates the sequence and
     decoding resumes, up to ``max_rollbacks``; if the budget runs out the
-    best attempt so far is returned with the trace flagged.
+    first attempt, which no later one can beat, is returned with the trace flagged.
     """
     budgets = budgets or DecodeBudgets()
     params = params or PhysicsParams()
     rng = np.random.default_rng(seed)
     trace = GenerateTrace()
     state = DecodeState()
-    best: tuple[float, BrickAssembly, TokenSequence, StabilityReport] | None = None
+    first = None
 
     while True:
         _run_episode(policy, target, state, rng, budgets, trace)
-        sequence = state.finalize()
         assembly = state.assembly()
-        report = stability_scores(assembly, params)
-        score = report.min_score
-        if best is None or score > best[0]:
-            best = (score, assembly, sequence, report)
-        if score > 0.0:
-            return GenerateResult(assembly, sequence, report, trace)
+        result = GenerateResult(assembly, state.finalize(), stability_scores(assembly, params), trace)
+        first = first or result
+        if result.report.min_score > 0.0:
+            return result
         if trace.rollbacks >= budgets.max_rollbacks:
             trace.budget_exhausted = "rollbacks"
-            _, assembly, sequence, report = best
-            return GenerateResult(assembly, sequence, report, trace)
-        rollback(state, report)
-        trace.rollbacks += 1
-        trace.rollback_events.append(RollbackEvent(len(sequence) - 2, len(state.body)))
+            return first
+        rollback(state, result.report)
+        trace.rollback_events.append(RollbackEvent(len(result.sequence) - 2, len(state.body)))

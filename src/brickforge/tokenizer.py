@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import warnings
 from bisect import bisect_left
-from collections import deque, namedtuple
+from collections import namedtuple
 
 from .attach import decode_attachment
 from .bricks import GRID, Brick, BrickAssembly, CATALOG_SIZES, _stamp
@@ -117,8 +117,9 @@ def _items(groups):
 
 
 class DecodeState:
-    """The BFS state machine over the sequence grammar: token prefix, the
-    partial assembly and the parent queue.  ``cells`` is the assembly's flat
+    """The BFS state machine over the sequence grammar: token prefix and partial
+    assembly.  Parents are dequeued in brick order, one per EOP, so the pending
+    ones are always ``range(current + 1, len(bricks))``.  ``cells`` is the flat
     occupancy in ``_stamp``'s layout, stamped in place: read it, never write it."""
 
     def __init__(self):
@@ -126,11 +127,9 @@ class DecodeState:
         self.parent_of: list[int | None] = []
         self.tuple_start: list[int] = []  # body index where each brick's tokens begin
         self.body: list[Token] = []       # tokens after BOS (header + groups, no EOS)
-        self.queue: deque[int] = deque()
         self.current: int | None = None
         self.f_floor: int = -1
         self.cells = bytearray(GRID ** 3)
-        self._snapshot: BrickAssembly | None = None
 
     @property
     def started(self) -> bool:
@@ -146,7 +145,6 @@ class DecodeState:
     def apply_root(self, brick: Brick):
         assert not self.started
         _stamp(self.cells, brick)
-        self._snapshot = None
         self.bricks.append(brick)
         self.parent_of.append(None)
         self.tuple_start.append(0)
@@ -157,17 +155,15 @@ class DecodeState:
 
     def apply_tuple(self, f: int, h: int, w: int, m: int, brick: Brick):
         _stamp(self.cells, brick)
-        self._snapshot = None
         self.tuple_start.append(len(self.body))
         self.body += [f_token(f), size(h), size(w), m_token(m)]
         self.parent_of.append(self.current)
         self.bricks.append(brick)
-        self.queue.append(len(self.bricks) - 1)
         self.f_floor = f
 
     def apply_eop(self):
         self.body.append(EOP)
-        self.current = self.queue.popleft() if self.queue else None
+        self.current = None if self.current in (None, len(self.bricks) - 1) else self.current + 1
         self.f_floor = -1
 
     def _feed(self, body, monotone: bool):
@@ -179,7 +175,7 @@ class DecodeState:
         groups = body[5:]
         for end, item in _items(groups):
             if item is None:
-                if not self.queue and end < len(groups):
+                if self.current + 1 == len(self.bricks) and end < len(groups):
                     raise TuplesAfterQueueEmptyError("tokens remain after the BFS queue drained")
                 self.apply_eop()
                 continue
@@ -201,19 +197,16 @@ class DecodeState:
             raise ValueError(f"body position {n} is not between items")
         keep = bisect_left(self.tuple_start, n)
         del body[n:], self.bricks[keep:], self.parent_of[keep:], self.tuple_start[keep:]
-        self._snapshot = BrickAssembly(tuple(self.bricks))
-        self.cells = bytearray(self._snapshot._cells)
-        # parents are dequeued in brick order, one per EOP
-        eops = sum(t.kind == KIND_EOP for t in body)
+        self.cells = bytearray(GRID ** 3)
+        for brick in self.bricks:
+            _stamp(self.cells, brick)
+        eops = sum(t.kind == KIND_EOP for t in body)  # one per dequeued parent
         self.current = eops if eops < keep else None
-        self.queue = deque(range(eops + 1, keep))
         self.f_floor = body[-4].value if body and body[-1].kind == KIND_M else -1
 
     def assembly(self) -> BrickAssembly:
-        """An immutable snapshot of the partial assembly, cached until the next change."""
-        if self._snapshot is None:
-            self._snapshot = BrickAssembly._checked(tuple(self.bricks), bytes(self.cells))
-        return self._snapshot
+        """An immutable snapshot of the partial assembly."""
+        return BrickAssembly._checked(tuple(self.bricks), bytes(self.cells))
 
     def finalize(self) -> TokenSequence:
         """Complete sequence for the current prefix: trailing EOP tokens are
@@ -221,7 +214,8 @@ class DecodeState:
         return _close(self.body)
 
     def fingerprint(self) -> tuple:
-        return (tuple(self.bricks), tuple(self.parent_of), tuple(self.queue),
+        queue = () if self.current is None else tuple(range(self.current + 1, len(self.bricks)))
+        return (tuple(self.bricks), tuple(self.parent_of), queue,
                 self.current, self.f_floor, tuple(self.body))
 
     @staticmethod

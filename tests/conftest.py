@@ -667,9 +667,10 @@ def validate_tuple_reference(state: DecodeState, f: int, h: int, w: int, m: int)
         brick = decode_attachment(f, m, parent, (h, w))
     except BrickforgeError:
         return None, REJECT_BOUNDS
-    occupancy = state.assembly().occupancy
-    block = occupancy[brick.x:brick.x + brick.h, brick.y:brick.y + brick.w, brick.z]
-    if block.any():
+    # the live cells one by one, where is_free reads strided slices
+    cells, x, y, z = state.cells, brick.x, brick.y, brick.z
+    if any(cells[((x + a) * GRID + y + b) * GRID + z]
+           for a in range(brick.h) for b in range(brick.w)):
         return None, REJECT_COLLISION
     return brick, None
 

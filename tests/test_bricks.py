@@ -11,6 +11,7 @@ from brickforge.bricks import (
     BrickAssembly,
     attachment_edges,
     is_connected,
+    is_free,
     place,
     root_index,
 )
@@ -117,7 +118,7 @@ def test_is_free_matches_the_numpy_slice(rng):
                 x, y = int(rng.integers(0, GRID - h + 1)), int(rng.integers(0, GRID - w + 1))
                 z = int(rng.integers(0, 4))
                 free = not a.occupancy[x:x + h, y:y + w, z].any()
-                assert a.is_free(h, w, x, y, z) is free, (h, w, x, y, z)
+                assert is_free(a._cells, h, w, x, y, z) is free, (h, w, x, y, z)
                 seen.add((h, w, free))
     assert seen == {(h, w, free) for h, w in CATALOG for free in (True, False)}
 

@@ -31,7 +31,7 @@ from brickforge.errors import (
 from brickforge.geometry import VoxelGrid, voxelize_assembly, iou
 from brickforge.stability import StabilityReport, stability_scores
 from brickforge.tokenizer import NonMonotoneFWarning, detokenize, tokenize
-from brickforge.tokens import TokenSequence
+from brickforge.tokens import EOP, KIND_EOP, TokenSequence
 
 from conftest import expected_rollback_fingerprint, record_rollbacks
 
@@ -254,7 +254,7 @@ class TestRollback:
                          StabilityReport(scores=[1.0, 1.0, 1.0, 0.0]))
         assert state.bricks == [a.bricks[0], a.bricks[1]]
         assert state.current == 0 and state.f_floor == 0
-        assert list(state.queue) == [1]
+        assert state.fingerprint()[2] == (1,)
 
     def test_decoder_state_machine_agrees_with_detokenizer(self, rng):
         # dual route: the incremental replay and Algorithm-2-style detokenizer
@@ -313,6 +313,30 @@ class TestRollback:
             assert expected_rollback_fingerprint(record.sequence_before,
                                                  record.scores_before) == record.fingerprint_after
 
+    def test_a_spent_budget_returns_the_first_episode(self, monkeypatch):
+        # every episode before a stable one scores 0, so none beats the first
+        target = grid_with([(3, 3, 0), (3, 3, 1)])
+        records = record_rollbacks(monkeypatch)
+        outcomes = set()
+        for seed in range(40):
+            records.clear()
+            result = generate(UniformLegalPolicy(), target,
+                              DecodeBudgets(8, 1 + seed % 3, 8), seed=seed)
+            assert len(records) == result.trace.rollbacks
+            assert all(0.0 in record.scores_before for record in records)
+            assert result.report == stability_scores(result.assembly)
+            if result.trace.budget_exhausted == "rollbacks":
+                assert not result.stable
+                assert result.sequence == records[0].sequence_before
+            else:  # the last episode, grown from the last cut
+                assert result.stable
+                body = list(records[-1].fingerprint_after[-1]) if records else []
+                while body and body[-1].kind == KIND_EOP:
+                    body.pop()
+                assert list(result.sequence.tokens[1:1 + len(body)]) == body
+            outcomes.add((result.stable, result.trace.rollbacks > 0))
+        assert outcomes == {(False, True), (True, False), (True, True)}
+
     def test_rollback_rejects_a_report_of_the_wrong_length(self):
         a = BrickAssembly((Brick(1, 1, 5, 5, 0), Brick(1, 1, 5, 5, 1)))
         state = DecodeState.replay(list(tokenize(a).tokens)[1:-1])
@@ -343,6 +367,24 @@ class TestReplayRejects:
             DecodeState.replay(list(seq.tokens[1:-1]))
         with pytest.raises(CollisionError):
             detokenize(seq)
+
+
+class TestDecodeStateQueue:
+    def test_eop_without_a_parent_only_appends(self):
+        # the pending parents are range(current + 1, len(bricks)): with no
+        # current parent, an EOP leaves none
+        state = DecodeState()
+        assert state.fingerprint() == ((), (), (), None, -1, ())
+        state.apply_eop()
+        assert state.current is None and state.body == [EOP]
+        state = state_for(Brick(1, 1, 5, 5, 0), Brick(1, 1, 5, 5, 1))
+        state.apply_eop()  # the EOPs that tokenize strips: the root's, then the child's
+        state.apply_eop()
+        assert state.done
+        before = state.fingerprint()
+        state.apply_eop()
+        assert state.current is None and state.body == list(before[-1]) + [EOP]
+        assert state.fingerprint()[:5] == before[:5]
 
 
 class TestGenerateContracts:
