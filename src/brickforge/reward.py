@@ -23,7 +23,7 @@ from .geometry import (
     voxelize_assembly,
     voxelize_points,
 )
-from .stability import PhysicsParams, stability_scores
+from .stability import PhysicsParams, certified_unstable, stability_scores
 from .tokens import TokenSequence
 
 DEFAULT_SURFACE_SAMPLES = 8192
@@ -63,6 +63,8 @@ def total_reward(target: PointCloud, candidate: BrickAssembly,
     Pipeline: voxelize both sides and take IoU; extract the candidate's
     surface, sample ``samples`` points, normalize both clouds independently
     and take the Chamfer distance; then add the minimum stability score.
+    That term is 0.0 without an LP when ``certified_unstable`` finds a brick,
+    even where the solver would fail with ``SolverFailureError``.
     """
     target_grid = voxelize_points(target, solid_fill=solid_fill)
     candidate_grid = voxelize_assembly(candidate)
@@ -70,8 +72,9 @@ def total_reward(target: PointCloud, candidate: BrickAssembly,
     mesh = extract_surface(candidate_grid)
     sampled = sample_surface(mesh, samples, seed)
     d_cd = chamfer(normalize_cloud(target), normalize_cloud(sampled))
-    report = stability_scores(candidate, params)
-    return compose_reward(r_iou, d_cd, report.min_score)
+    certified = certified_unstable(candidate, params or PhysicsParams()) is not None
+    r_stable = 0.0 if certified else stability_scores(candidate, params).min_score
+    return compose_reward(r_iou, d_cd, r_stable)
 
 
 @dataclass(frozen=True)

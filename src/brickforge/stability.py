@@ -156,6 +156,38 @@ class StabilityReport:
         return json.dumps(payload, indent=2) + "\n"
 
 
+def certified_unstable(assembly: BrickAssembly, params: PhysicsParams) -> int | None:
+    """The first brick that ``stability_scores`` must score 0 by geometry alone, or None.
+
+    Forces act on a brick off z = 0 only at the centres of its contact cells
+    (those with a brick directly below or above).  If these lie on a line
+    a*(px - cx) + b*(py - cy) = e, a^2 + b^2 = 1, that misses the centroid,
+    its rows give |a*s_my + b*s_mx - e*s_f| = |e|*W, so some slack residual
+    is at least |e|*W / (|a| + |b| + |e|); with no contact cell it is W.  A
+    brick counts when that bound exceeds ``slack_tolerance`` by 1e-6, 1000
+    times the solver's 1e-9 feasibility tolerance.
+    """
+    for i, brick in enumerate(assembly.bricks):
+        x, y, z, h, w = brick.x, brick.y, brick.z, brick.h, brick.w
+        if z == 0:  # ground contact under every cell
+            continue
+        px, py = np.nonzero(assembly.occupancy[x:x + h, y:y + w, z - 1:z + 2:2].any(2))
+        a, b, e = 0.0, 0.0, 1.0  # no contact cell: the force residual is W
+        if len(px):
+            dx, dy = px[0] + 0.5 - h / 2, py[0] + 0.5 - w / 2  # from the centroid
+            ux, uy = int(px[-1] - px[0]), int(py[-1] - py[0])  # a line's ends, in row-major order
+            if ux == uy == 0:  # one point: the axis-parallel line through it farther out
+                ux, uy = (0, 1) if abs(dx) >= abs(dy) else (1, 0)
+            elif np.any(ux * (py - py[0]) != uy * (px - px[0])):
+                continue
+            a, b = -uy / math.hypot(ux, uy), ux / math.hypot(ux, uy)
+            e = abs(a * dx + b * dy)
+        bound = e * h * w * params.brick_weight_per_cell / (abs(a) + abs(b) + e)
+        if bound > params.slack_tolerance + 1e-6:
+            return i
+    return None
+
+
 MAX_ITERATIONS = 100_000
 _SOLVER_OPTIONS = {
     "maxiter": MAX_ITERATIONS,

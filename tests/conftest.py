@@ -44,8 +44,20 @@ from brickforge.errors import (
     MalformedSequenceError,
     TuplesAfterQueueEmptyError,
 )
-from brickforge.geometry import PointCloud, SurfaceMesh, VoxelGrid
+from brickforge.geometry import (
+    PointCloud,
+    SurfaceMesh,
+    VoxelGrid,
+    chamfer,
+    extract_surface,
+    iou,
+    normalize_cloud,
+    sample_surface,
+    voxelize_assembly,
+    voxelize_points,
+)
 from brickforge.ldraw import CELL_UNITS, COLOR, LAYER_UNITS, PART_IDS
+from brickforge.reward import DEFAULT_SURFACE_SAMPLES, RewardBreakdown, compose_reward
 from brickforge.stability import (
     _SOLVER_OPTIONS,
     SLACK_PENALTY,
@@ -53,6 +65,7 @@ from brickforge.stability import (
     PhysicsParams,
     StabilityReport,
     _solve,
+    stability_scores,
 )
 from brickforge.tokenizer import NonMonotoneFWarning, SequenceStats
 from brickforge.tokens import (
@@ -874,6 +887,23 @@ def stability_scores_reference(assembly: BrickAssembly,
         else:
             scores[brick_idx] = max(0.0, 1.0 - utilization[brick_idx])
     return report
+
+
+def total_reward_reference(target: PointCloud, candidate: BrickAssembly,
+                           params: PhysicsParams | None = None, *,
+                           samples: int = DEFAULT_SURFACE_SAMPLES, seed: int = 0,
+                           solid_fill: bool = True) -> RewardBreakdown:
+    """The reward that solves the equilibrium LP for every candidate, kept
+    as the oracle for ``total_reward``, which settles a certified zero
+    stability term from geometry."""
+    target_grid = voxelize_points(target, solid_fill=solid_fill)
+    candidate_grid = voxelize_assembly(candidate)
+    r_iou = iou(target_grid, candidate_grid)
+    mesh = extract_surface(candidate_grid)
+    sampled = sample_surface(mesh, samples, seed)
+    d_cd = chamfer(normalize_cloud(target), normalize_cloud(sampled))
+    report = stability_scores(candidate, params)
+    return compose_reward(r_iou, d_cd, report.min_score)
 
 
 def mesh_edge_census(mesh) -> dict:

@@ -127,3 +127,21 @@ def test_stability_solves_through_the_lazy_import(tmp_path):
             "print(stability_scores(BrickAssembly((Brick(1, 2, 0, 0, 0),))).feasible,"
             " 'scipy.optimize' in sys.modules)")
     assert run_python(code, tmp_path) == "True True"
+
+
+# Brick 1 rests on one row of studs off its centroid: the certificate
+# settles the reward's stability term, and the LP would score it 0.
+OVERHANG = ('{"bricks": [{"h": 2, "w": 4, "x": 9, "y": 8, "z": 0},'
+            ' {"h": 1, "w": 4, "x": 10, "y": 11, "z": 1}]}')
+
+
+@pytest.mark.parametrize("argv, solves", [
+    (["score", "--target", "c.xyz", "o.json"], False),
+    (["prefpairs", "--target", "c.xyz", "o.json", "o.json"], False),
+    (["score", "--target", "c.xyz", "a.json"], True),  # 2x2 studs: no certificate
+    (["stability", "o.json"], True),
+])
+def test_lp_solver_loads_only_for_a_candidate_the_certificate_cannot_decide(argv, solves,
+                                                                          tmp_path):
+    (tmp_path / "o.json").write_text(OVERHANG)
+    assert run_command(argv, "'scipy.optimize' in sys.modules", tmp_path) == f"0 {solves}"
