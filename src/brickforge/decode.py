@@ -149,6 +149,8 @@ class GreedyGeometryPolicy(Policy):
     """
 
     def __init__(self, temperature: float = 0.0):
+        if not np.isfinite(temperature):
+            raise ValueError(f"temperature must be finite, got {temperature}")
         self.temperature = temperature
 
     def _choose(self, actions: list[tuple], scores: list[float], rng):

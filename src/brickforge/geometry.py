@@ -146,12 +146,14 @@ def voxelize_points(cloud: PointCloud, solid_fill: bool = True) -> VoxelGrid:
         raise EmptyCloudError("cannot voxelize an empty cloud")
     pts = cloud.points
     lo, hi = pts.min(axis=0), pts.max(axis=0)
-    extent = float((hi - lo).max())
-    if extent <= 0.0:
-        raise DegenerateExtentError("all points coincide")
+    with np.errstate(over="ignore", divide="ignore"):  # such extents are rejected below
+        extent = (hi - lo).max()
+        scale = (GRID - 1) / extent
+    if not np.isfinite((extent, scale)).all():  # points that coincide, or too close or far apart
+        raise DegenerateExtentError(f"extent {extent} has no finite scale to the grid")
     # extremes land on the centers of the outermost cells, so the cloud
     # covers exactly 20 cells along its largest axis without clamping bias
-    scaled = (pts - (lo + hi) / 2.0) * ((GRID - 1) / extent) + GRID / 2.0
+    scaled = (pts - (lo + hi) / 2.0) * scale + GRID / 2.0
     cells = np.clip(np.floor(scaled).astype(int), 0, GRID - 1)
     occ = np.zeros((GRID, GRID, GRID), dtype=bool)
     occ[cells[:, 0], cells[:, 1], cells[:, 2]] = True

@@ -72,7 +72,8 @@ def total_reward(target: PointCloud, candidate: BrickAssembly,
     mesh = extract_surface(candidate_grid)
     sampled = sample_surface(mesh, samples, seed)
     d_cd = chamfer(normalize_cloud(target), normalize_cloud(sampled))
-    certified = certified_unstable(candidate, params or PhysicsParams()) is not None
+    params = params or PhysicsParams()
+    certified = certified_unstable(candidate, params) is not None
     r_stable = 0.0 if certified else stability_scores(candidate, params).min_score
     return compose_reward(r_iou, d_cd, r_stable)
 

@@ -212,33 +212,20 @@ def _solve(program: EquilibriumProgram, options: dict):
 def stability_scores(assembly: BrickAssembly, params: PhysicsParams | None = None) -> StabilityReport:
     """Score every brick in [0, 1].
 
-    Bricks in components that never reach z = 0 score 0 without solving.
-    For the grounded part, the elastic LP is solved once; a brick scores 0
-    when any of its three slack residuals exceeds the tolerance, and
-    otherwise 1 minus its worst clutch tension utilization.
+    Bricks in components that never reach z = 0 score 0, with inf slack,
+    without solving.  For the grounded part, the elastic LP is solved once;
+    a brick scores 0 when any of its three slack residuals exceeds the
+    tolerance, and otherwise 1 minus its worst clutch tension utilization.
+    The report is feasible when no brick's slack exceeds the tolerance.
     """
     params = params or PhysicsParams()
     n = len(assembly.bricks)
-    if n == 0:
-        return StabilityReport(scores=[], feasible=True)
-    if all(b.z for b in assembly.bricks):  # nothing stands on z = 0: every component floats
-        return StabilityReport(scores=[0.0] * n, brick_slack=[math.inf] * n, feasible=False)
+    scores, slack = [0.0] * n, [math.inf] * n
+    if all(b.z for b in assembly.bricks):  # nothing stands on z = 0, as in the empty assembly
+        return StabilityReport(scores, slack, max(slack, default=0.0) <= params.slack_tolerance)
 
-    components = connected_components(assembly)
-    grounded: list[int] = []
-    floating: set[int] = set()
-    for comp in components:
-        if any(assembly.bricks[i].z == 0 for i in comp):
-            grounded.extend(comp)
-        else:
-            floating.update(comp)
-    grounded.sort()
-
-    scores = [0.0] * n
-    slack = [math.inf] * n
-    report = StabilityReport(scores=scores, brick_slack=slack,
-                             feasible=not floating)
-
+    grounded = sorted(i for comp in connected_components(assembly)
+                      if any(assembly.bricks[k].z == 0 for k in comp) for i in comp)
     program = assemble_equilibrium_program(assembly, params, grounded)
     result = _solve(program, _SOLVER_OPTIONS)
     if not result.success:
@@ -250,23 +237,20 @@ def stability_scores(assembly: BrickAssembly, params: PhysicsParams | None = Non
                                  detail=result.message)
 
     x = result.x
-    contacts = program.contacts
-    n_c, n_g = len(contacts), len(program.grounds)
-    report.tension_scale = float(x[-1])
-
+    n_c, n_g = len(program.contacts), len(program.grounds)
     forces = x[:n_c]
     pulled = forces < 0.0
     utilization = np.zeros(n)
     for end in (0, 1):  # the lower and the upper brick of each contact
-        np.maximum.at(utilization, contacts[pulled, end],
+        np.maximum.at(utilization, program.contacts[pulled, end],
                       -forces[pulled] / params.clutch_tension_capacity)
     utilization = utilization.tolist()  # scores are plain floats
 
     split = x[n_c + n_g:-1].reshape(-1, 3, 2)  # (+, -) slack pairs per brick and row
-    for brick_idx, worst in zip(program.indices, np.abs(split[:, :, 0] - split[:, :, 1]).max(1)):
+    residuals = np.abs(split[:, :, 0] - split[:, :, 1]).max(1).tolist()  # plain floats too
+    for brick_idx, worst in zip(program.indices, residuals):
         slack[brick_idx] = worst
-        if worst > params.slack_tolerance:
-            report.feasible = False
-        else:
+        if worst <= params.slack_tolerance:
             scores[brick_idx] = max(0.0, 1.0 - utilization[brick_idx])
-    return report
+    return StabilityReport(scores, slack, max(slack, default=0.0) <= params.slack_tolerance,
+                           float(x[-1]))

@@ -32,6 +32,7 @@ from .tokens import (
     BOS,
     EOP,
     EOS,
+    KIND_BOS,
     KIND_COORD,
     KIND_EOP,
     KIND_EOS,
@@ -81,7 +82,7 @@ def _close(body: list[Token]) -> TokenSequence:
 
 def _body(sequence: TokenSequence) -> tuple[Token, ...]:
     """The tokens between BOS and EOS, at least a root header's worth."""
-    if len(sequence) < 7 or sequence[0].kind != "BOS" or sequence[-1].kind != KIND_EOS:
+    if len(sequence) < 7 or sequence[0].kind != KIND_BOS or sequence[-1].kind != KIND_EOS:
         raise MalformedHeaderError("sequence must be BOS <header> ... EOS with 5 header tokens")
     return sequence[1:-1]
 

@@ -98,7 +98,6 @@ def codebook() -> list[CodebookEntry]:
     entries += [CodebookEntry(_SIZE_BASE + i, KIND_SIZE, v, f"S{v}") for i, v in enumerate(SIZE_VALUES)]
     entries += [CodebookEntry(_F_BASE + v, KIND_F, v, f"F{v}") for v in range(F_RANGE)]
     entries += [CodebookEntry(_M_BASE + v, KIND_M, v, f"M{v}") for v in range(M_RANGE)]
-    entries.sort(key=lambda e: e.id)
     return entries
 
 

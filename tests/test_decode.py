@@ -170,6 +170,11 @@ class TestPolicies:
         assert result.assembly.bricks == (Brick(1, 1, 4, 7, 0), Brick(1, 1, 4, 7, 1),
                                           Brick(1, 1, 4, 7, 2))
 
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), float("-inf")])
+    def test_greedy_rejects_non_finite_temperature(self, temperature):
+        with pytest.raises(ValueError, match="temperature"):
+            GreedyGeometryPolicy(temperature)
+
     def test_budgets_validation(self):
         with pytest.raises(ValueError):
             DecodeBudgets(max_resamples_per_tuple=0)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -97,9 +99,20 @@ class TestVoxelizePoints:
         expected = 4.0 / 3.0 * np.pi * 10 ** 3
         assert abs(int(grid.occupancy.sum()) - expected) / expected < 0.15
 
-    def test_degenerate_extent(self):
-        with pytest.raises(DegenerateExtentError):
-            voxelize_points(PointCloud(np.ones((5, 3))))
+    @pytest.mark.parametrize("points", [
+        np.ones((5, 3)),  # all points coincide
+        [[0, 0, 0], [1e-310, 0, 0]],  # (GRID - 1) / extent overflows
+        [[-1e308, 0, 0], [1e308, 0, 0], [0, 1, 0]],  # the extent itself overflows
+    ])
+    def test_degenerate_extent(self, points):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before numpy warns
+            with pytest.raises(DegenerateExtentError):
+                voxelize_points(PointCloud(np.array(points, dtype=float)))
+
+    def test_tiny_extent_still_scales(self):
+        grid = voxelize_points(PointCloud(np.array([[0, 0, 0], [1e-300, 0, 0]])))
+        assert np.argwhere(grid.occupancy).tolist() == [[0, 10, 10], [19, 10, 10]]
 
     def test_empty_cloud(self):
         with pytest.raises(EmptyCloudError):

@@ -232,14 +232,19 @@ class TestCli:
             "detail": "point cloud has a NaN or infinite coordinate"}
 
     @pytest.mark.parametrize("command", ["score", "voxelize"])
-    @pytest.mark.parametrize("text, detail", [
-        ("0 0 0\n1 2\n", "point line needs 3 or 6 fields, got 2"),
-        ("0 0 0\n1 two 3\n", "point line has a non-numeric field "
-                               "(could not convert string to float: 'two')"),
-        ("0 0 0 1 0 0\n1 2 3\n", "normals present on some lines but not all"),
-        ("0 0 0 1 0 0\n1 2 3 1 1 1\n", "normals must have unit length within 1e-6"),
+    @pytest.mark.parametrize("text, error, detail", [
+        ("0 0 0\n1 2\n", "malformed_input", "point line needs 3 or 6 fields, got 2"),
+        ("0 0 0\n1 two 3\n", "malformed_input", "point line has a non-numeric field "
+                                                  "(could not convert string to float: 'two')"),
+        ("0 0 0 1 0 0\n1 2 3\n", "malformed_input", "normals present on some lines but not all"),
+        ("0 0 0 1 0 0\n1 2 3 1 1 1\n", "malformed_input",
+         "normals must have unit length within 1e-6"),
+        ("0 0 0\n1e-310 0 0\n", "degenerate_extent",
+         "extent 1e-310 has no finite scale to the grid"),
+        ("-1e308 0 0\n1e308 0 0\n0 1 0\n", "degenerate_extent",
+         "extent inf has no finite scale to the grid"),
     ])
-    def test_malformed_cloud_envelope(self, command, text, detail, assembly_file,
+    def test_malformed_cloud_envelope(self, command, text, error, detail, assembly_file,
                                       tmp_path, capsys):
         cloud = tmp_path / "bad.xyz"
         cloud.write_text(text)
@@ -249,7 +254,7 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "Traceback" not in captured.err
-        assert json.loads(captured.err) == {"error": "malformed_input", "detail": detail}
+        assert json.loads(captured.err) == {"error": error, "detail": detail}
 
     def test_malformed_cloud_exits_1_from_a_fresh_process(self, assembly_file, tmp_path):
         cloud = tmp_path / "bad.xyz"

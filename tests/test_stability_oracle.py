@@ -15,6 +15,7 @@ from conftest import (
     grow_random_assembly,
     stability_scores_reference,
 )
+from test_reward_certificate import PARAMS
 from test_stability import PRESOLVE_NOT_SET_BRICKS
 
 
@@ -85,10 +86,14 @@ def test_sparse_program_matches_dense_builder(corpus, chunk):
 
 @pytest.mark.parametrize("chunk", range(4))
 def test_reports_match_dense_path_exactly(corpus, chunk):
-    for assembly in corpus[chunk::4]:
-        ours, ref = stability_scores(assembly), stability_scores_reference(assembly)
-        assert ours.scores == ref.scores
-        assert list(map(repr, ours.scores)) == list(map(repr, ref.scores))
-        assert ours.brick_slack == ref.brick_slack
-        assert ours.feasible == ref.feasible
-        assert ours.tension_scale == ref.tension_scale
+    # every assembly at the default physics and at the next other params in
+    # turn, whose weights and tolerances let the slack decide ``feasible``
+    for k, assembly in enumerate(corpus[chunk::4]):
+        for params in (PARAMS[0], PARAMS[1 + k % (len(PARAMS) - 1)]):
+            ours = stability_scores(assembly, params)
+            ref = stability_scores_reference(assembly, params)
+            assert ours.scores == ref.scores
+            assert list(map(repr, ours.scores)) == list(map(repr, ref.scores))
+            assert ours.brick_slack == ref.brick_slack
+            assert ours.feasible is ref.feasible
+            assert ours.tension_scale == ref.tension_scale
