@@ -5,10 +5,14 @@ Generation drives the tokenizer's BFS state machine, ``DecodeState``: a
 policy proposes either a child tuple (f, h, w, m) or EOP for the current
 parent; the harness validates each tuple in two stages (token-level
 legality, then bounds and collision against the partial occupancy) and
-resamples on rejection.  After a complete structure is produced its
-stability is scored; if some brick is unstable, the sequence is truncated
-to just before the tokens of that brick's parent and decoding resumes
-from that prefix state; past the rollback budget the first attempt is returned.
+resamples on rejection.  After each complete structure one brick is blamed,
+by the cheapest rule that can decide: brick 0 when nothing stands on z = 0,
+else the first brick ``certified_unstable`` names from contact geometry,
+else the first brick the equilibrium LP scores 0 (when none scores 0 the
+structure is stable and returned with that report).  The sequence is then
+truncated to just before the tokens of the blamed brick's parent and
+decoding resumes from that prefix state; past the rollback budget the
+first attempt is returned, its LP solved only then.
 """
 
 from __future__ import annotations
@@ -30,13 +34,12 @@ from .errors import (
     EmptyTargetError,
     InconsistentSequenceError,
     MalformedInputError,
-    NoUnstableBrickError,
     OutOfBoundsError,
     PolicyProcessError,
     SizeNotInLibraryError,
 )
 from .geometry import VoxelGrid
-from .stability import PhysicsParams, StabilityReport, stability_scores
+from .stability import PhysicsParams, StabilityReport, certified_unstable, stability_scores
 from .tokenizer import DecodeState
 from .tokens import BOS, TokenSequence
 
@@ -341,9 +344,13 @@ class SubprocessPolicy(Policy):
 
 @dataclass
 class RollbackEvent:
-    """How far one rollback cut the sequence body back."""
+    """How far one rollback cut the sequence body back, the brick it blamed,
+    and which rule named that brick: "floating" (nothing stands on z = 0),
+    "certificate" (``certified_unstable``) or "lp" (a zero LP score)."""
     body_len_before: int
     body_len_after: int
+    brick: int
+    cause: str
 
 
 @dataclass
@@ -382,23 +389,19 @@ class GenerateResult:
         return bool(self.report.scores) and self.report.min_score > 0.0
 
 
-def rollback(state: DecodeState, report: StabilityReport) -> DecodeState:
-    """Cut ``state`` in place to just before the tokens of the first
-    unstable brick's parent and return it.
+def rollback(state: DecodeState, brick: int) -> DecodeState:
+    """Cut ``state`` in place to just before the tokens of the parent of
+    brick ``brick``, the one blamed for instability, and return it.
 
-    When that parent is the root (or the root itself is unstable) the state
+    When that parent is the root (or the root itself is blamed) the state
     restarts from just after BOS.  A caller holding only tokens passes
-    ``DecodeState.replay(body)``.  Raises InconsistentSequenceError when the
-    report does not score one value per brick of ``state`` and
-    NoUnstableBrickError when every score is positive.
+    ``DecodeState.replay(body)``.  Raises InconsistentSequenceError when
+    ``brick`` is not the index of a brick of ``state``.
     """
-    if len(report.scores) != len(state.bricks):
+    if not 0 <= brick < len(state.bricks):
         raise InconsistentSequenceError(
-            f"report scores {len(report.scores)} bricks, the state holds {len(state.bricks)}")
-    zeros = [i for i, s in enumerate(report.scores) if s == 0.0]
-    if not zeros:
-        raise NoUnstableBrickError("all per-brick scores are positive")
-    parent = state.parent_of[zeros[0]]
+            f"brick {brick} is not one of the {len(state.bricks)} bricks of the state")
+    parent = state.parent_of[brick]
     state.truncate(state.tuple_start[parent] if parent else 0)
     return state
 
@@ -447,10 +450,17 @@ def generate(policy: Policy, target: VoxelGrid,
     """Constrained generation loop.
 
     Produces a structure that is in bounds, collision-free, and strictly
-    detokenizable by construction.  When the completed structure contains an
-    unstable brick, a parent-aware rollback truncates the sequence and
-    decoding resumes, up to ``max_rollbacks``; if the budget runs out the
-    first attempt, which no later one can beat, is returned with the trace flagged.
+    detokenizable by construction.  Each completed structure either ends the
+    run or has one brick blamed for instability, by the first rule that
+    decides: brick 0 when no brick stands on z = 0 (no LP); else the first
+    brick ``certified_unstable`` names (no LP); else the equilibrium LP,
+    whose report is returned when every score is positive and whose first
+    zero score is blamed otherwise.  A parent-aware rollback then truncates
+    the sequence at the blamed brick's parent and decoding resumes, up to
+    ``max_rollbacks``; if the budget runs out the first attempt, which no
+    later one can beat, is returned with the trace flagged.  The returned
+    report is always ``stability_scores(result.assembly, params)``; the
+    first attempt's LP is solved only when that attempt is returned.
     """
     budgets = budgets or DecodeBudgets()
     params = params or PhysicsParams()
@@ -461,13 +471,22 @@ def generate(policy: Policy, target: VoxelGrid,
 
     while True:
         _run_episode(policy, target, state, rng, budgets, trace)
-        assembly = state.assembly()
-        result = GenerateResult(assembly, state.finalize(), stability_scores(assembly, params), trace)
-        first = first or result
-        if result.report.min_score > 0.0:
-            return result
+        assembly, sequence, report = state.assembly(), state.finalize(), None
+        if all(b.z for b in assembly.bricks):
+            brick, cause = 0, "floating"
+        elif (brick := certified_unstable(assembly, params)) is not None:
+            cause = "certificate"
+        else:
+            report = stability_scores(assembly, params)
+            if report.min_score > 0.0:
+                return GenerateResult(assembly, sequence, report, trace)
+            brick, cause = report.scores.index(0.0), "lp"
+        first = first or (assembly, sequence, report)
         if trace.rollbacks >= budgets.max_rollbacks:
             trace.budget_exhausted = "rollbacks"
-            return first
-        rollback(state, result.report)
-        trace.rollback_events.append(RollbackEvent(len(result.sequence) - 2, len(state.body)))
+            assembly, sequence, report = first
+            return GenerateResult(assembly, sequence,
+                                  report or stability_scores(assembly, params), trace)
+        rollback(state, brick)
+        trace.rollback_events.append(
+            RollbackEvent(len(sequence) - 2, len(state.body), brick, cause))

@@ -101,10 +101,6 @@ class EmptyTargetError(BrickforgeError):
     code = "empty_target"
 
 
-class NoUnstableBrickError(BrickforgeError):
-    code = "no_unstable_brick"
-
-
 class InconsistentSequenceError(BrickforgeError):
     code = "inconsistent_sequence"
 

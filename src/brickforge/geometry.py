@@ -140,7 +140,8 @@ def voxelize_points(cloud: PointCloud, solid_fill: bool = True) -> VoxelGrid:
     the largest extent spans exactly 20 cells; a cell is occupied when it
     contains at least one point.  With ``solid_fill`` the exterior is
     flood-filled from the grid boundary and every non-exterior cell becomes
-    occupied, so hollow shells voxelize to solid volumes.
+    occupied, so hollow shells voxelize to solid volumes.  A cloud whose
+    extent or centre has no finite value raises DegenerateExtentError.
     """
     if len(cloud) == 0:
         raise EmptyCloudError("cannot voxelize an empty cloud")
@@ -153,7 +154,11 @@ def voxelize_points(cloud: PointCloud, solid_fill: bool = True) -> VoxelGrid:
         raise DegenerateExtentError(f"extent {extent} has no finite scale to the grid")
     # extremes land on the centers of the outermost cells, so the cloud
     # covers exactly 20 cells along its largest axis without clamping bias
-    scaled = (pts - (lo + hi) / 2.0) * scale + GRID / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):  # such a centre is rejected below
+        scaled = (pts - (lo + hi) / 2.0) * scale + GRID / 2.0
+    if not np.isfinite(scaled).all():  # lo + hi overflows near the largest floats
+        raise DegenerateExtentError(
+            f"coordinates up to {np.abs(pts).max()} have no finite centre on the grid")
     cells = np.clip(np.floor(scaled).astype(int), 0, GRID - 1)
     occ = np.zeros((GRID, GRID, GRID), dtype=bool)
     occ[cells[:, 0], cells[:, 1], cells[:, 2]] = True

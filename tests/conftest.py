@@ -596,14 +596,13 @@ def to_text_reference(sequence: TokenSequence) -> str:
     return " ".join(out)
 
 
-def expected_rollback_fingerprint(sequence, scores) -> tuple:
-    """Oracle for the post-rollback state: locate the first unstable brick's
+def expected_rollback_fingerprint(sequence, brick) -> tuple:
+    """Oracle for the post-rollback state: locate the blamed brick's
     parent, truncate just before its tuple, and replay independently."""
     tokens = list(sequence.tokens)[1:-1]
     full = replay_reference(tokens)
-    k = next(i for i, s in enumerate(scores) if s == 0.0)
-    parent = full[1][k]
-    if k == 0 or parent == 0 or parent is None:
+    parent = full[1][brick]
+    if brick == 0 or parent == 0 or parent is None:
         return replay_reference([])
     idx, seen = 5, 0
     while idx < len(tokens):
@@ -620,21 +619,23 @@ def expected_rollback_fingerprint(sequence, scores) -> tuple:
 class RollbackRecord(NamedTuple):
     sequence_before: TokenSequence
     scores_before: list
+    brick: int
     fingerprint_after: tuple
 
 
 def record_rollbacks(monkeypatch) -> list[RollbackRecord]:
     """Wrap ``decode.rollback`` so that every cut ``generate`` makes is
-    recorded: the finished sequence and the scores before it, and the
-    state's fingerprint after it.  Returns the list the records go into,
-    in the order of ``trace.rollback_events``."""
+    recorded: the finished sequence, the LP scores of its assembly (solved
+    here, before the cut) and the blamed brick, and the state's fingerprint
+    after the cut.  Returns the list the records go into, in the order of
+    ``trace.rollback_events``."""
     records = []
     cut = decode.rollback
 
-    def recording(state, report):
-        sequence, scores = state.finalize(), list(report.scores)
-        state = cut(state, report)
-        records.append(RollbackRecord(sequence, scores, state.fingerprint()))
+    def recording(state, brick):
+        sequence, scores = state.finalize(), stability_scores(state.assembly()).scores
+        state = cut(state, brick)
+        records.append(RollbackRecord(sequence, scores, brick, state.fingerprint()))
         return state
 
     monkeypatch.setattr(decode, "rollback", recording)

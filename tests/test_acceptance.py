@@ -252,8 +252,8 @@ def test_c12_rollback_replay_equivalence(monkeypatch):
             ok = ok and event.body_len_after < event.body_len_before
             ok = ok and event.body_len_before == len(record.sequence_before) - 2
             ok = ok and event.body_len_after == len(record.fingerprint_after[-1])
-            expected = expected_rollback_fingerprint(record.sequence_before,
-                                                     record.scores_before)
+            ok = ok and record.scores_before[record.brick] == 0.0
+            expected = expected_rollback_fingerprint(record.sequence_before, record.brick)
             ok = ok and expected == record.fingerprint_after
     report(12, "rollback equals from-scratch replay and strictly shortens",
            ok, f"{events} rollbacks across {runs} runs")

@@ -25,11 +25,10 @@ from brickforge.errors import (
     CollisionError,
     InconsistentSequenceError,
     MalformedInputError,
-    NoUnstableBrickError,
     PolicyProcessError,
 )
 from brickforge.geometry import VoxelGrid, voxelize_assembly, iou
-from brickforge.stability import StabilityReport, stability_scores
+from brickforge.stability import PhysicsParams, certified_unstable, stability_scores
 from brickforge.tokenizer import NonMonotoneFWarning, detokenize, tokenize
 from brickforge.tokens import EOP, KIND_EOP, TokenSequence
 
@@ -181,19 +180,11 @@ class TestPolicies:
 
 
 class TestRollback:
-    def test_no_unstable_brick(self):
-        a = BrickAssembly((Brick(2, 2, 0, 0, 0),))
-        seq = tokenize(a)
-        with pytest.raises(NoUnstableBrickError):
-            rollback(DecodeState.replay(list(seq.tokens)[1:-1]),
-                     StabilityReport(scores=[1.0]))
-
     def test_chain_truncates_to_parent_tuple(self):
         a = BrickAssembly((Brick(1, 1, 5, 5, 0), Brick(1, 1, 5, 5, 1),
                            Brick(1, 1, 5, 5, 2)))
         seq = tokenize(a)
-        state = rollback(DecodeState.replay(list(seq.tokens)[1:-1]),
-                         StabilityReport(scores=[1.0, 1.0, 0.0]))
+        state = rollback(DecodeState.replay(list(seq.tokens)[1:-1]), 2)
         assert state.bricks == [Brick(1, 1, 5, 5, 0)]  # root survives
         assert state.current == 0
         assert state.f_floor == -1
@@ -202,8 +193,7 @@ class TestRollback:
     def test_root_child_unstable_restarts(self):
         a = BrickAssembly((Brick(1, 1, 5, 5, 0), Brick(1, 1, 5, 5, 1)))
         seq = tokenize(a)
-        state = rollback(DecodeState.replay(list(seq.tokens)[1:-1]),
-                         StabilityReport(scores=[1.0, 0.0]))
+        state = rollback(DecodeState.replay(list(seq.tokens)[1:-1]), 1)
         assert state.bricks == []
         assert not state.started
 
@@ -220,8 +210,7 @@ class TestRollback:
         seq = tokenize(a)
         # brick 3 is the grandchild via brick 1; its parent tuple is brick 1's,
         # the first tuple of the root group
-        state = rollback(DecodeState.replay(list(seq.tokens)[1:-1]),
-                         StabilityReport(scores=[1, 1, 1, 0.0]))
+        state = rollback(DecodeState.replay(list(seq.tokens)[1:-1]), 3)
         assert state.bricks == [a.bricks[0]]
         assert state.current == 0
 
@@ -242,8 +231,10 @@ class TestRollback:
         bricks, parents, queue, current, floor, body = record.fingerprint_after
         assert bricks == (Brick(4, 1, 5, 5, 0), Brick(1, 1, 5, 5, 1))
         assert current == 0 and floor == 0 and queue == (1,)
+        assert record.scores_before[record.brick] == 0.0
+        assert event.brick == record.brick
         assert expected_rollback_fingerprint(record.sequence_before,
-                                             record.scores_before) == record.fingerprint_after
+                                             record.brick) == record.fingerprint_after
         assert event.body_len_before == len(record.sequence_before) - 2
         assert event.body_len_after == len(body)
 
@@ -255,8 +246,7 @@ class TestRollback:
             Brick(8, 1, 8, 5, 2),
         ))
         seq = tokenize(a)
-        state = rollback(DecodeState.replay(list(seq.tokens)[1:-1]),
-                         StabilityReport(scores=[1.0, 1.0, 1.0, 0.0]))
+        state = rollback(DecodeState.replay(list(seq.tokens)[1:-1]), 3)
         assert state.bricks == [a.bricks[0], a.bricks[1]]
         assert state.current == 0 and state.f_floor == 0
         assert state.fingerprint()[2] == (1,)
@@ -288,9 +278,9 @@ class TestRollback:
             assert event.body_len_after < event.body_len_before
             assert event.body_len_before == len(record.sequence_before) - 2
             assert event.body_len_after == len(record.fingerprint_after[-1])
+            assert record.scores_before[record.brick] == 0.0
             # replay-equivalence against the independent state machine
-            expected = expected_rollback_fingerprint(record.sequence_before,
-                                                     record.scores_before)
+            expected = expected_rollback_fingerprint(record.sequence_before, record.brick)
             assert expected == record.fingerprint_after
 
 
@@ -315,8 +305,9 @@ class TestRollback:
         for event, record in zip(result.trace.rollback_events, records):
             assert event.body_len_before == len(record.sequence_before) - 2
             assert event.body_len_after == len(record.fingerprint_after[-1])
+            assert record.scores_before[record.brick] == 0.0
             assert expected_rollback_fingerprint(record.sequence_before,
-                                                 record.scores_before) == record.fingerprint_after
+                                                 record.brick) == record.fingerprint_after
 
     def test_a_spent_budget_returns_the_first_episode(self, monkeypatch):
         # every episode before a stable one scores 0, so none beats the first
@@ -329,6 +320,7 @@ class TestRollback:
                               DecodeBudgets(8, 1 + seed % 3, 8), seed=seed)
             assert len(records) == result.trace.rollbacks
             assert all(0.0 in record.scores_before for record in records)
+            assert all(record.scores_before[record.brick] == 0.0 for record in records)
             assert result.report == stability_scores(result.assembly)
             if result.trace.budget_exhausted == "rollbacks":
                 assert not result.stable
@@ -342,12 +334,43 @@ class TestRollback:
             outcomes.add((result.stable, result.trace.rollbacks > 0))
         assert outcomes == {(False, True), (True, False), (True, True)}
 
-    def test_rollback_rejects_a_report_of_the_wrong_length(self):
+    def test_each_cut_names_a_zero_score_by_the_cheapest_rule(self, monkeypatch):
+        # uniform runs, and greedy runs at T = 0 and T = 0.5, on a T-shaped target
+        target = grid_with([(5, 5, 0), (5, 5, 1), (5, 5, 2)] + [(x, 5, 3) for x in range(3, 8)])
+        runs = [(UniformLegalPolicy(), seed) for seed in range(40)]
+        runs += [(GreedyGeometryPolicy(0.5), seed) for seed in range(40)]
+        runs += [(GreedyGeometryPolicy(0.0), 0)]
+        records = record_rollbacks(monkeypatch)
+        causes, outcomes = set(), set()
+        for policy, seed in runs:
+            records.clear()
+            result = generate(policy, target, DecodeBudgets(8, 4, 12), seed=seed)
+            assert result.report == stability_scores(result.assembly)
+            assert len(records) == len(result.trace.rollback_events)
+            for event, record in zip(result.trace.rollback_events, records):
+                assert event.brick == record.brick
+                assert record.scores_before[record.brick] == 0.0
+                assembly = DecodeState.replay(list(record.sequence_before.tokens)[1:-1]).assembly()
+                grounded = any(b.z == 0 for b in assembly.bricks)
+                certified = certified_unstable(assembly, PhysicsParams()) if grounded else None
+                if event.cause == "floating":
+                    assert not grounded and event.brick == 0
+                elif event.cause == "certificate":
+                    assert certified == event.brick
+                else:
+                    assert event.cause == "lp" and grounded and certified is None
+                    assert record.scores_before.index(0.0) == event.brick
+                causes.add(event.cause)
+            outcomes.add(result.trace.budget_exhausted)
+        assert causes == {"floating", "certificate", "lp"}
+        assert outcomes == {None, "rollbacks"}
+
+    def test_rollback_rejects_a_brick_out_of_range(self):
         a = BrickAssembly((Brick(1, 1, 5, 5, 0), Brick(1, 1, 5, 5, 1)))
         state = DecodeState.replay(list(tokenize(a).tokens)[1:-1])
-        for scores in ([0.0], [1.0, 0.0, 0.0]):
-            with pytest.raises(InconsistentSequenceError, match="report scores"):
-                rollback(state, StabilityReport(scores=scores))
+        for brick in (-1, 2):
+            with pytest.raises(InconsistentSequenceError, match="not one of the 2 bricks"):
+                rollback(state, brick)
         assert len(state.bricks) == 2
 
 

@@ -243,6 +243,8 @@ class TestCli:
          "extent 1e-310 has no finite scale to the grid"),
         ("-1e308 0 0\n1e308 0 0\n0 1 0\n", "degenerate_extent",
          "extent inf has no finite scale to the grid"),
+        ("1e308 0 0\n1.7e308 0 0\n", "degenerate_extent",
+         "coordinates up to 1.7e+308 have no finite centre on the grid"),
     ])
     def test_malformed_cloud_envelope(self, command, text, error, detail, assembly_file,
                                       tmp_path, capsys):
