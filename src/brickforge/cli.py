@@ -6,9 +6,10 @@ with a JSON diagnostic envelope {"error": code, "detail": text} on stderr;
 usage errors exit 2.  A flag that sets a library argument is passed on
 only when given, so an omitted flag means the library's default.
 
-Each handler imports the modules it uses, so a command loads only those:
-validate loads ``bricks`` and ``errors`` alone, and only stability, score,
-prefpairs, generate and voxelize load numpy or scipy.
+Handlers reach the library through the package's names (``bf.tokenize``),
+each of which loads its module on first use, so a command loads only the
+modules it uses: validate loads ``bricks`` and ``errors`` alone, and only
+stability, score, prefpairs, generate and voxelize load numpy or scipy.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import math
 import sys
 from pathlib import Path
 
-from .bricks import BrickAssembly, is_connected
+import brickforge as bf
+
 from .errors import BrickforgeError, MalformedInputError
 
 
@@ -50,32 +52,29 @@ def _given(args, *names) -> dict:
     return {name: getattr(args, name) for name in names if name in args}
 
 
-def _load_assembly(path: str) -> BrickAssembly:
-    return BrickAssembly.from_json(_read(path))
+def _load_assembly(path: str) -> bf.BrickAssembly:
+    return bf.BrickAssembly.from_json(_read(path))
 
 
-def _load_sequence(path: str) -> TokenSequence:
-    from .tokens import TokenSequence
-    return TokenSequence.from_text(_read(path))
+def _load_sequence(path: str) -> bf.TokenSequence:
+    return bf.TokenSequence.from_text(_read(path))
 
 
-def _load_target_grid(args) -> VoxelGrid:
-    from .geometry import PointCloud, VoxelGrid, voxelize_points
+def _load_target_grid(args) -> bf.VoxelGrid:
     if args.target.endswith(".json"):
-        return VoxelGrid.from_dict(_read(args.target, as_json=True))
-    return voxelize_points(PointCloud.from_text(_read(args.target)), **_given(args, "solid_fill"))
+        return bf.VoxelGrid.from_dict(_read(args.target, as_json=True))
+    return bf.voxelize_points(bf.PointCloud.from_text(_read(args.target)),
+                              **_given(args, "solid_fill"))
 
 
 def _scored(args):
     """(path, assembly, reward breakdown) per candidate, scored against --target."""
-    from .geometry import PointCloud
-    from .reward import total_reward
-    target = PointCloud.from_text(_read(args.target))
+    target = bf.PointCloud.from_text(_read(args.target))
     params = _physics(args)
     options = _given(args, "samples", "seed", "solid_fill")
     for path in args.candidates:
         assembly = _load_assembly(path)
-        yield path, assembly, total_reward(target, assembly, params, **options)
+        yield path, assembly, bf.total_reward(target, assembly, params, **options)
 
 
 def _checked(convert, accept, want: str):
@@ -90,44 +89,53 @@ def _checked(convert, accept, want: str):
     return parse
 
 
-_positive = _checked(float, lambda v: math.isfinite(v) and v > 0, "must be finite and > 0")
 _finite = _checked(float, math.isfinite, "must be finite")
 _count = _checked(int, lambda v: v >= 1, "must be an integer >= 1")
 _seed = _checked(int, lambda v: v >= 0, "must be an integer >= 0")
 _samples = _checked(int, lambda v: 1 <= v <= 1 << 20, "must be an integer in [1, 1048576]")
 
 
-def _physics(args) -> PhysicsParams:
-    from .stability import PhysicsParams
-    return PhysicsParams(**_given(args, "brick_weight_per_cell", "clutch_tension_capacity",
-                                  "slack_tolerance"))
+def _physics_field(name: str):
+    """An argparse ``type=`` for the PhysicsParams field ``name``: a value
+    PhysicsParams refuses is a usage error (exit 2) giving its reason."""
+    def parse(text: str) -> float:
+        value = float(text)
+        try:
+            bf.PhysicsParams(**{name: value})
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(f"{err} (from {text!r})") from None
+        return value
+    parse.__name__ = "float"  # argparse names it in "invalid float value"
+    return parse
+
+
+def _physics(args) -> bf.PhysicsParams:
+    return bf.PhysicsParams(**_given(args, "brick_weight_per_cell", "clutch_tension_capacity",
+                                     "slack_tolerance"))
 
 
 def _cmd_tokenize(args) -> int:
-    from .tokenizer import tokenize
-    seq = tokenize(_load_assembly(args.input))
+    seq = bf.tokenize(_load_assembly(args.input))
     _emit(seq.to_text() + "\n", args.output)
     return 0
 
 
 def _cmd_detokenize(args) -> int:
-    from .tokenizer import detokenize, detokenize_lenient
     seq = _load_sequence(args.input)
     if args.lenient:
-        assembly, diagnostic = detokenize_lenient(seq)
+        assembly, diagnostic = bf.detokenize_lenient(seq)
         if diagnostic:
             sys.stderr.write(json.dumps({"warning": diagnostic}) + "\n")
     else:
-        assembly = detokenize(seq)
+        assembly = bf.detokenize(seq)
     _emit(assembly.to_json(), args.output)
     return 0
 
 
 def _cmd_roundtrip(args) -> int:
-    from .tokenizer import detokenize, tokenize
     assembly = _load_assembly(args.input)
-    seq = tokenize(assembly)
-    back = detokenize(seq)
+    seq = bf.tokenize(assembly)
+    back = bf.detokenize(seq)
     identical = sorted(back.bricks) == sorted(assembly.bricks)
     print(json.dumps({"identical": identical, "bricks": len(assembly),
                       "tokens": len(seq)}))
@@ -137,14 +145,13 @@ def _cmd_roundtrip(args) -> int:
 def _cmd_validate(args) -> int:
     assembly = _load_assembly(args.input)
     print(json.dumps({"valid": True, "bricks": len(assembly),
-                      "connected": is_connected(assembly)}))
+                      "connected": bf.is_connected(assembly)}))
     return 0
 
 
 def _cmd_stability(args) -> int:
-    from .stability import stability_scores
     assembly = _load_assembly(args.input)
-    report = stability_scores(assembly, _physics(args))
+    report = bf.stability_scores(assembly, _physics(args))
     _emit(report.to_json(), args.output)
     return 0
 
@@ -156,25 +163,22 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_prefpairs(args) -> int:
-    from .reward import build_preference_pairs
-    from .tokenizer import tokenize
-    scored = [(tokenize(assembly), breakdown) for _, assembly, breakdown in _scored(args)]
-    for pair in build_preference_pairs(scored, condition=args.condition or args.target,
-                                       **_given(args, "gap_min", "floor")):
+    scored = [(bf.tokenize(assembly), breakdown) for _, assembly, breakdown in _scored(args)]
+    for pair in bf.build_preference_pairs(scored, condition=args.condition or args.target,
+                                          **_given(args, "gap_min", "floor")):
         sys.stdout.write(json.dumps(pair.to_dict()) + "\n")
     return 0
 
 
 def _cmd_generate(args) -> int:
-    from .decode import DecodeBudgets, GreedyGeometryPolicy, UniformLegalPolicy, generate
     target = _load_target_grid(args)
     if args.policy == "uniform":
-        policy = UniformLegalPolicy()
+        policy = bf.UniformLegalPolicy()
     else:
-        policy = GreedyGeometryPolicy(**_given(args, "temperature"))
-    budgets = DecodeBudgets(**_given(args, "max_resamples_per_tuple", "max_rollbacks",
-                                     "max_bricks"))
-    result = generate(policy, target, budgets, _physics(args), **_given(args, "seed"))
+        policy = bf.GreedyGeometryPolicy(**_given(args, "temperature"))
+    budgets = bf.DecodeBudgets(**_given(args, "max_resamples_per_tuple", "max_rollbacks",
+                                        "max_bricks"))
+    result = bf.generate(policy, target, budgets, _physics(args), **_given(args, "seed"))
     _emit(result.assembly.to_json(), args.output)
     if args.emit_tokens:
         Path(args.emit_tokens).write_text(result.sequence.to_text() + "\n")
@@ -185,24 +189,21 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_export_ldraw(args) -> int:
-    from .ldraw import export_ldraw
-    _emit(export_ldraw(_load_assembly(args.input)), args.output)
+    _emit(bf.export_ldraw(_load_assembly(args.input)), args.output)
     return 0
 
 
 def _cmd_voxelize(args) -> int:
-    from .geometry import PointCloud, voxelize_points
-    cloud = PointCloud.from_text(_read(args.input))
-    grid = voxelize_points(cloud, **_given(args, "solid_fill"))
+    cloud = bf.PointCloud.from_text(_read(args.input))
+    grid = bf.voxelize_points(cloud, **_given(args, "solid_fill"))
     _emit(json.dumps(grid.to_dict(), indent=2) + "\n", args.output)
     return 0
 
 
 def _cmd_stats(args) -> int:
-    from .tokenizer import sequence_stats
     per_file = []
     for path in args.inputs:
-        stats = sequence_stats(_load_sequence(path))
+        stats = bf.sequence_stats(_load_sequence(path))
         per_file.append({"file": path, "N": stats.n_bricks, "I": stats.n_eop,
                          "T": stats.length})
     mean_t = sum(s["T"] for s in per_file) / len(per_file)
@@ -218,12 +219,12 @@ def build_parser() -> argparse.ArgumentParser:
     omit = {"argument_default": argparse.SUPPRESS}  # see _given
 
     physics = argparse.ArgumentParser(add_help=False, **omit)
-    physics.add_argument("--clutch", dest="clutch_tension_capacity", metavar="CLUTCH",
-                         type=_positive, help="clutch tension capacity per stud contact")
-    physics.add_argument("--weight", dest="brick_weight_per_cell", metavar="WEIGHT",
-                         type=_positive, help="brick weight per footprint cell")
-    physics.add_argument("--slack-eps", dest="slack_tolerance", metavar="SLACK_EPS",
-                         type=_positive, help="equilibrium slack tolerance")
+    for flag, name, text in (("--clutch", "clutch_tension_capacity",
+                              "clutch tension capacity per stud contact"),
+                             ("--weight", "brick_weight_per_cell", "brick weight per footprint cell"),
+                             ("--slack-eps", "slack_tolerance", "equilibrium slack tolerance")):
+        physics.add_argument(flag, dest=name, metavar=flag[2:].upper().replace("-", "_"),
+                             type=_physics_field(name), help=text)
     fill = argparse.ArgumentParser(add_help=False, **omit)
     fill.add_argument("--no-solid-fill", dest="solid_fill", action="store_false")
     scoring = argparse.ArgumentParser(add_help=False, **omit)
@@ -231,30 +232,28 @@ def build_parser() -> argparse.ArgumentParser:
     scoring.add_argument("candidates", nargs="+")
     scoring.add_argument("--samples", type=_samples)
     scoring.add_argument("--seed", type=_seed)
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("input")
+    sink = argparse.ArgumentParser(add_help=False)
+    sink.add_argument("-o", "--output")
 
-    p = sub.add_parser("tokenize", help="assembly JSON -> token text")
-    p.add_argument("input")
-    p.add_argument("-o", "--output")
+    p = sub.add_parser("tokenize", help="assembly JSON -> token text", parents=[source, sink])
     p.set_defaults(func=_cmd_tokenize)
 
-    p = sub.add_parser("detokenize", help="token text -> assembly JSON")
-    p.add_argument("input")
-    p.add_argument("-o", "--output")
+    p = sub.add_parser("detokenize", help="token text -> assembly JSON", parents=[source, sink])
     p.add_argument("--lenient", action="store_true",
                    help="stop at the first structural violation instead of failing")
     p.set_defaults(func=_cmd_detokenize)
 
-    p = sub.add_parser("roundtrip", help="check detokenize(tokenize(A)) == A")
-    p.add_argument("input")
+    p = sub.add_parser("roundtrip", help="check detokenize(tokenize(A)) == A", parents=[source])
     p.set_defaults(func=_cmd_roundtrip)
 
-    p = sub.add_parser("validate", help="check bounds, collisions, connectivity")
-    p.add_argument("input")
+    p = sub.add_parser("validate", help="check bounds, collisions, connectivity",
+                       parents=[source])
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("stability", help="per-brick stability report", parents=[physics])
-    p.add_argument("input")
-    p.add_argument("-o", "--output")
+    p = sub.add_parser("stability", help="per-brick stability report",
+                       parents=[source, sink, physics])
     p.set_defaults(func=_cmd_stability)
 
     p = sub.add_parser("score", help="reward breakdown per candidate (JSON lines)",
@@ -269,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_prefpairs)
 
     p = sub.add_parser("generate", help="constrained generation toward a target",
-                       parents=[fill, physics], **omit)
+                       parents=[fill, physics, sink], **omit)
     p.add_argument("--target", required=True,
                    help="point cloud (.xyz) or voxel grid (.json)")
     p.add_argument("--policy", choices=("uniform", "greedy"), default="greedy")
@@ -280,17 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-rollbacks", type=_count)
     p.add_argument("--max-bricks", type=_count)
     p.add_argument("--emit-tokens", default=None, help="also write the token sequence here")
-    p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("export-ldraw", help="assembly JSON -> LDraw document")
-    p.add_argument("input")
-    p.add_argument("-o", "--output")
+    p = sub.add_parser("export-ldraw", help="assembly JSON -> LDraw document",
+                       parents=[source, sink])
     p.set_defaults(func=_cmd_export_ldraw)
 
-    p = sub.add_parser("voxelize", help="point cloud -> occupancy grid JSON", parents=[fill])
-    p.add_argument("input")
-    p.add_argument("-o", "--output")
+    p = sub.add_parser("voxelize", help="point cloud -> occupancy grid JSON",
+                       parents=[source, sink, fill])
     p.set_defaults(func=_cmd_voxelize)
 
     p = sub.add_parser("stats", help="sequence length statistics")

@@ -425,8 +425,7 @@ def _run_episode(policy: Policy, target: VoxelGrid, state: DecodeState,
     if not state.started:
         _sample_root(policy, target, state, rng, budgets, trace)
     while not state.done and len(state.bricks) < budgets.max_bricks:
-        rejections = 0
-        while True:
+        for _ in range(budgets.max_resamples_per_tuple):
             action = policy.propose(target, state, rng)
             if action is None:
                 state.apply_eop()
@@ -436,11 +435,9 @@ def _run_episode(policy: Policy, target: VoxelGrid, state: DecodeState,
                 state.apply_tuple(*action, brick)
                 break
             trace.reject(reason)
-            rejections += 1
-            if rejections >= budgets.max_resamples_per_tuple:
-                state.apply_eop()
-                trace.forced_eops += 1
-                break
+        else:  # every proposal was rejected
+            state.apply_eop()
+            trace.forced_eops += 1
 
 
 def generate(policy: Policy, target: VoxelGrid,

@@ -17,11 +17,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bricks import GRID, BrickAssembly, connected_components
+from .bricks import GRID, MAX_FOOTPRINT_AREA, BrickAssembly, connected_components
 from .errors import EmptyAssemblyError, SolverFailureError
 
 
 SLACK_PENALTY = 1e6  # the LP objective's weight M on each slack variable
+
+# Each parameter lies in (0, ceiling): HiGHS refuses a matrix entry from 1e15
+# (the tension rows hold the clutch capacity) and reads a bound from 1e20 as
+# infinite (a force row holds the weight of up to MAX_FOOTPRINT_AREA cells).
+PARAM_CEILINGS = {"brick_weight_per_cell": 1e20 / MAX_FOOTPRINT_AREA,
+                  "clutch_tension_capacity": 1e15, "slack_tolerance": math.inf}
 
 
 @dataclass(frozen=True)
@@ -31,10 +37,10 @@ class PhysicsParams:
     slack_tolerance: float = 1e-6
 
     def __post_init__(self):
-        for name in ("brick_weight_per_cell", "clutch_tension_capacity", "slack_tolerance"):
+        for name, ceiling in PARAM_CEILINGS.items():
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and strictly positive, got {value}")
+            if not 0 < value < ceiling:  # false for nan, and for inf at any ceiling
+                raise ValueError(f"{name} must be finite and in (0, {ceiling:.7g}), got {value}")
 
 
 @dataclass

@@ -508,6 +508,8 @@ class TestSubprocessPolicy:
          "'m': '0'} needs int fields f, h, w, m"),
         (ROOT, "[0, 2, 2, 0]", "reply '[0, 2, 2, 0]' is not a JSON object"),
         pytest.param(ROOT, "[" * 100_000, "[[[[' is not a JSON object", id="nested-too-deep"),
+        ('{"action": "eop"}', "", "expected a root action, got {'action': 'eop'}"),
+        (ROOT, '{"action": "jump"}', "expected tuple/eop action, got {'action': 'jump'}"),
     ])
     def test_malformed_reply_is_a_domain_error(self, root_reply, reply, detail):
         script = ("import sys\nfor line in sys.stdin:\n"
@@ -529,6 +531,20 @@ class TestSubprocessPolicy:
                 policy.proc.wait()
                 generate(policy, grid_with([(4, 4, 0)]), DecodeBudgets(8, 1, 4), seed=0)
         assert policy.proc.stdin.closed
+        assert policy.proc.returncode == 0
+
+    def test_last_reply_is_read_to_end_of_stream(self, monkeypatch):
+        # the child answers once without a newline and closes its stdout:
+        # that reply still counts, and the next request finds the stream closed
+        monkeypatch.setattr(decode, "REPLY_TIMEOUT_S", 5.0)
+        script = ("import os, sys\nsys.stdin.readline()\n"
+                  "sys.stdout.write('{\"action\": \"eop\"}'); sys.stdout.flush(); os.close(1)\n"
+                  "for line in sys.stdin: pass\n")
+        state = state_for(Brick(2, 2, 4, 4, 0))
+        with SubprocessPolicy([sys.executable, "-c", script]) as policy:
+            assert policy.propose(None, state, None) is None
+            with pytest.raises(PolicyProcessError, match="closed its output stream"):
+                policy.propose(None, state, None)
         assert policy.proc.returncode == 0
 
     SLEEPER = [sys.executable, "-c", "import time; time.sleep(30)"]

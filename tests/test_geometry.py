@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -71,6 +72,10 @@ class TestPointCloud:
         with pytest.raises(NonFiniteInputError):
             PointCloud(np.zeros((4, 3)), normals)
 
+    def test_normal_count_must_match_point_count(self):
+        with pytest.raises(ValueError, match="normals must match point count"):
+            PointCloud(np.zeros((4, 3)), np.tile([0.0, 0.0, 1.0], (3, 1)))
+
     def test_nan_line_in_text_rejected(self):
         with pytest.raises(NonFiniteInputError):
             PointCloud.from_text("0 0 0\n1 1 1\nnan 0 0\n")
@@ -137,6 +142,12 @@ class TestVoxelizeAssembly:
         for _ in range(5):
             a = grow_random_assembly(rng, 20)
             assert int(voxelize_assembly(a).occupancy.sum()) == sum(b.h * b.w for b in a.bricks)
+
+
+@pytest.mark.parametrize("shape", [(20, 20), (20, 20, 19), (21, 20, 20)])
+def test_voxel_grid_of_the_wrong_shape_rejected(shape):
+    with pytest.raises(ValueError, match=rf"grid must be 20\^3, got {re.escape(str(shape))}"):
+        VoxelGrid(np.zeros(shape, bool))
 
 
 class TestIoU:
@@ -275,6 +286,12 @@ class TestSampleSurface:
         with pytest.raises(EmptyMeshError):
             sample_surface(extract_surface(VoxelGrid(np.zeros((20, 20, 20), bool))), 10, seed=0)
 
+    def test_zero_samples_rejected(self):
+        occ = np.zeros((20, 20, 20), bool)
+        occ[4, 4, 0] = True
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            sample_surface(extract_surface(VoxelGrid(occ)), 0, seed=0)
+
 
 class TestNormalize:
     def test_two_points(self):
@@ -295,6 +312,10 @@ class TestNormalize:
     def test_degenerate(self):
         with pytest.raises(DegenerateCloudError):
             normalize_cloud(PointCloud(np.ones((4, 3))))
+
+    def test_empty(self):
+        with pytest.raises(EmptyCloudError, match="cannot normalize an empty cloud"):
+            normalize_cloud(PointCloud(np.zeros((0, 3))))
 
 
 class TestChamfer:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import brickforge
 from brickforge.bricks import Brick, BrickAssembly
 from brickforge.cli import main
 from brickforge.geometry import PointCloud
@@ -104,8 +105,11 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out == {"valid": True, "bricks": 2, "connected": True}
 
-    def test_stability_flags(self, assembly_file, capsys):
-        assert main(["stability", str(assembly_file), "--clutch", "10"]) == 0
+    # the last two sit just below PhysicsParams' ceilings and still solve
+    @pytest.mark.parametrize("flags", [["--clutch", "10"], ["--clutch", "9.9e14"],
+                                       ["--weight", "8.3e18"]])
+    def test_stability_flags(self, flags, assembly_file, capsys):
+        assert main(["stability", str(assembly_file), *flags]) == 0
         report = json.loads(capsys.readouterr().out)
         assert set(report) == {"scores", "feasible", "min_score"}
         assert report["feasible"] is True
@@ -322,6 +326,15 @@ class TestCli:
         bricks = json.loads(capsys.readouterr().out)["bricks"]
         assert sorted([b["x"], b["y"], b["z"]] for b in bricks) == cells
 
+    def test_empty_grid_target_envelope(self, tmp_path, capsys):
+        grid = tmp_path / "empty.json"
+        grid.write_text(json.dumps({"shape": [20, 20, 20], "occupied": []}))
+        assert main(["generate", "--target", str(grid)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "empty_target",
+                                            "detail": "target grid has no occupied cells"}
+
     @pytest.mark.parametrize("command", ["validate", "tokenize", "score"])
     @pytest.mark.parametrize("text, detail", [
         ('{"bricks": [{"h": 1}]}', "brick {'h': 1} needs int fields h, w, x, y, z"),
@@ -392,6 +405,10 @@ class TestCli:
         (["stability", "a.json"], "--clutch", "0"),
         (["stability", "a.json"], "--weight", "nan"),
         (["stability", "a.json"], "--slack-eps", "nan"),
+        (["stability", "a.json"], "--clutch", "1e15"),  # HiGHS refuses the matrix entry
+        (["stability", "a.json"], "--weight", "9e18"),  # a 2x6 brick's weight reads as inf
+        (["score", "--target", "c.xyz", "a.json"], "--clutch", "1e15"),
+        (["generate", "--target", "t.json"], "--weight", "1e20"),
         (["score", "--target", "c.xyz", "a.json"], "--samples", "0"),
         (["score", "--target", "c.xyz", "a.json"], "--samples", "1048577"),
         (["score", "--target", "c.xyz", "a.json"], "--samples", "100000000000000000000"),
@@ -419,9 +436,10 @@ class TestCli:
         assert f"argument {flag}: " in err and repr(value) in err
         assert "Traceback" not in err
 
-    # Per command line, the keywords each library callee receives: a flag
-    # passes its keyword on only when given, so an omitted one leaves the
-    # library's default in place.
+    # Per command line, the keywords each library callee receives (at its
+    # last call: a physics flag's parser also tries its value on PhysicsParams):
+    # a flag passes its keyword on only when given, so an omitted one leaves
+    # the library's default in place.
     PHYSICS = {"brick_weight_per_cell": 2.0, "clutch_tension_capacity": 30.0,
                "slack_tolerance": 1e-5}
     PHYSICS_FLAGS = ["--weight", "2", "--clutch", "30", "--slack-eps", "1e-5"]
@@ -467,11 +485,12 @@ class TestCli:
         for name in keywords:
             module, attr = name.split(".")
             callee = getattr(importlib.import_module(f"brickforge.{module}"), attr)
+            assert getattr(brickforge, attr) is callee  # the CLI calls the package's name
 
             def record(*args, _name=name, _callee=callee, **kwargs):
                 seen[_name] = kwargs
                 return _callee(*args, **kwargs)
-            monkeypatch.setattr(f"brickforge.{name}", record)
+            monkeypatch.setattr(f"brickforge.{attr}", record)
         assert main([a.format(**paths) for a in argv]) == 0
         assert seen == {name: {k: v.format(**paths) if isinstance(v, str) else v
                                for k, v in given.items()}

@@ -187,6 +187,19 @@ class TestReporting:
         with pytest.raises(ValueError, match=name):
             PhysicsParams(**{name: value})
 
+    # HiGHS refuses a matrix entry from 1e15 and reads a bound from 1e20 as
+    # infinite; a 2x6 brick's force row holds 12 cells' weight.  9e18 once
+    # solved a 2x4 brick and failed a 2x6 one.
+    @pytest.mark.parametrize("name, ceiling, above", [("clutch_tension_capacity", 1e15, 1e16),
+                                                      ("brick_weight_per_cell", 1e20 / 12, 9e18)])
+    def test_params_stay_within_what_the_solver_accepts(self, name, ceiling, above):
+        for refused in (ceiling, above):
+            with pytest.raises(ValueError, match=name):
+                PhysicsParams(**{name: refused})
+        stack = BrickAssembly((Brick(2, 6, 0, 0, 0), Brick(2, 6, 0, 0, 1)))
+        report = stability_scores(stack, PhysicsParams(**{name: math.nextafter(ceiling, 0)}))
+        assert report.feasible and report.min_score > 0.0
+
 
 # A 150-brick assembly, (h, w, x, y, z) in the brick order a tokenize and
 # detokenize round trip gives it.  HiGHS presolve stopped on its equilibrium

@@ -356,6 +356,16 @@ class TestWireFormats:
         assert blob[:4] == (7).to_bytes(4, "little")
         assert len(blob) == 4 + 7
 
+    @pytest.mark.parametrize("blob, message", [
+        (b"", "binary form shorter than its length prefix"),
+        (b"\x07\x00\x00", "binary form shorter than its length prefix"),
+        (b"\x02\x00\x00\x00\x00", "binary form length 1 != prefix 2"),
+        (b"\x00\x00\x00\x00\x00\x01", "binary form length 2 != prefix 0"),
+    ])
+    def test_binary_length_prefix_must_match(self, blob, message):
+        with pytest.raises(MalformedSequenceError, match=f"^{message}$"):
+            TokenSequence.from_binary(blob)
+
     def test_bad_text(self):
         with pytest.raises(MalformedSequenceError):
             TokenSequence.from_text("BOS Q9 EOS")
