@@ -351,11 +351,19 @@ def sample_surface(mesh: SurfaceMesh, n: int, seed: int) -> PointCloud:
 
 
 def normalize_cloud(cloud: PointCloud) -> PointCloud:
-    """Center at the centroid and scale so the maximum radial distance is 1."""
+    """Center at the centroid and scale so the maximum radial distance is 1.
+
+    A cloud whose centroid or radius overflows raises DegenerateExtentError.
+    """
     if len(cloud) == 0:
         raise EmptyCloudError("cannot normalize an empty cloud")
-    centered = cloud.points - cloud.points.mean(axis=0)
-    radius = float(np.linalg.norm(centered, axis=1).max())
+    pts = cloud.points
+    with np.errstate(over="ignore", invalid="ignore"):  # such clouds are rejected below
+        centered = pts - pts.mean(axis=0)
+        radius = float(np.linalg.norm(centered, axis=1).max())
+    if not np.isfinite(radius):  # an infinite or NaN centroid leaves no finite radius either
+        raise DegenerateExtentError(
+            f"coordinates up to {np.abs(pts).max()} have no finite radius about their centroid")
     if radius <= 0.0:
         raise DegenerateCloudError("cloud has no extent around its centroid")
     return PointCloud(centered / radius, cloud.normals)
@@ -366,6 +374,8 @@ def chamfer(p: PointCloud, q: PointCloud) -> float:
     if len(p) == 0 or len(q) == 0:
         raise EmptyCloudError("chamfer distance needs two nonempty clouds")
     from scipy.spatial import cKDTree  # here, so importing the package skips scipy
-    d_pq = cKDTree(q.points).query(p.points)[0]
-    d_qp = cKDTree(p.points).query(q.points)[0]
+    # sliding-midpoint trees build faster than median splits on the reward's
+    # clouds, and a query still returns the exact nearest distance
+    d_pq = cKDTree(q.points, balanced_tree=False).query(p.points)[0]
+    d_qp = cKDTree(p.points, balanced_tree=False).query(q.points)[0]
     return float(d_pq.mean() + d_qp.mean())

@@ -8,13 +8,17 @@ an external trainer (or a policy hyperparameter search) can consume them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .bricks import BrickAssembly
 from .errors import NonFiniteInputError
 from .geometry import (
     PointCloud,
+    VoxelGrid,
     chamfer,
     extract_surface,
     iou,
@@ -64,18 +68,33 @@ def total_reward(target: PointCloud, candidate: BrickAssembly,
     surface, sample ``samples`` points, normalize both clouds independently
     and take the Chamfer distance; then add the minimum stability score.
     That term is 0.0 without an LP when ``certified_unstable`` finds a brick,
-    even where the solver would fail with ``SolverFailureError``.
+    even where the solver would fail with ``SolverFailureError``.  The
+    target's grid and normalized cloud are kept for the next call on the
+    same coordinates, so scoring many candidates builds them once.
     """
-    target_grid = voxelize_points(target, solid_fill=solid_fill)
+    target_grid, target_cloud = _target_side(target.points.tobytes(), solid_fill)
     candidate_grid = voxelize_assembly(candidate)
     r_iou = iou(target_grid, candidate_grid)
     mesh = extract_surface(candidate_grid)
     sampled = sample_surface(mesh, samples, seed)
-    d_cd = chamfer(normalize_cloud(target), normalize_cloud(sampled))
+    d_cd = chamfer(target_cloud, normalize_cloud(sampled))
     params = params or PhysicsParams()
     certified = certified_unstable(candidate, params) is not None
     r_stable = 0.0 if certified else stability_scores(candidate, params).min_score
     return compose_reward(r_iou, d_cd, r_stable)
+
+
+@functools.lru_cache(maxsize=1)
+def _target_side(points: bytes, solid_fill: bool) -> tuple[VoxelGrid, PointCloud]:
+    """The target's grid and normalized cloud, keyed by its coordinates'
+    bytes rather than its identity, since a cloud's points can be edited in
+    place.  Both arrays are read-only, as every later call shares them."""
+    target = PointCloud(np.frombuffer(points))
+    grid = voxelize_points(target, solid_fill=solid_fill)
+    cloud = normalize_cloud(target)
+    grid.occupancy.flags.writeable = False
+    cloud.points.flags.writeable = False
+    return grid, cloud
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,6 @@ from brickforge.geometry import (
     PointCloud,
     SurfaceMesh,
     VoxelGrid,
-    chamfer,
     extract_surface,
     iou,
     normalize_cloud,
@@ -642,6 +641,17 @@ def record_rollbacks(monkeypatch) -> list[RollbackRecord]:
     return records
 
 
+def chamfer_reference(p: PointCloud, q: PointCloud) -> float:
+    """``chamfer`` on scipy's default median-split trees, kept as the oracle
+    that pins the sliding-midpoint trees to the same distances bit for bit."""
+    if len(p) == 0 or len(q) == 0:
+        raise EmptyCloudError("chamfer distance needs two nonempty clouds")
+    from scipy.spatial import cKDTree
+    d_pq = cKDTree(q.points).query(p.points)[0]
+    d_qp = cKDTree(p.points).query(q.points)[0]
+    return float(d_pq.mean() + d_qp.mean())
+
+
 def chamfer_bruteforce(p: PointCloud, q: PointCloud) -> float:
     """O(n^2) reference implementation used as the oracle in tests."""
     if len(p) == 0 or len(q) == 0:
@@ -894,15 +904,17 @@ def total_reward_reference(target: PointCloud, candidate: BrickAssembly,
                            params: PhysicsParams | None = None, *,
                            samples: int = DEFAULT_SURFACE_SAMPLES, seed: int = 0,
                            solid_fill: bool = True) -> RewardBreakdown:
-    """The reward that solves the equilibrium LP for every candidate, kept
-    as the oracle for ``total_reward``, which settles a certified zero
-    stability term from geometry."""
+    """The reward that voxelizes and normalizes the target on every call,
+    takes Chamfer on default trees and solves the equilibrium LP for every
+    candidate, kept as the oracle for ``total_reward``, which keeps the
+    target's side between calls and settles a certified zero stability term
+    from geometry."""
     target_grid = voxelize_points(target, solid_fill=solid_fill)
     candidate_grid = voxelize_assembly(candidate)
     r_iou = iou(target_grid, candidate_grid)
     mesh = extract_surface(candidate_grid)
     sampled = sample_surface(mesh, samples, seed)
-    d_cd = chamfer(normalize_cloud(target), normalize_cloud(sampled))
+    d_cd = chamfer_reference(normalize_cloud(target), normalize_cloud(sampled))
     report = stability_scores(candidate, params)
     return compose_reward(r_iou, d_cd, report.min_score)
 

@@ -5,9 +5,11 @@ stderr; it never raises."""
 import contextlib
 import io
 import json
+import math
+import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brickforge.bricks import Brick, BrickAssembly
@@ -75,3 +77,43 @@ def test_any_file_bytes_exit_0_or_1_with_the_envelope(argv, payload, inputs):
     if code == 1:
         envelope = json.loads(err.getvalue().splitlines()[-1])
         assert set(envelope) == {"error", "detail"}
+
+
+# Finite coordinates at the edges of the float range: subnormals, values
+# whose sum or square overflows, and the largest floats.
+EXTREMES = [0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-310, 2.2e-308, 1e-160, 1e200, -1e200,
+            8e307, 9e307, 1.7e308, -1.7e308]
+EXTREME_CLOUDS = st.lists(
+    st.tuples(*[st.one_of(st.sampled_from(EXTREMES),
+                          st.floats(allow_nan=False, allow_infinity=False))] * 3),
+    min_size=1, max_size=6)
+TETRAHEDRON = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
+
+
+@pytest.mark.parametrize("argv", [["voxelize", "{bad}.xyz"],
+                                  ["score", "--samples", "64", "--target", "{bad}.xyz",
+                                   "{assembly}"]], ids=" ".join)
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(points=EXTREME_CLOUDS)
+@example(points=[(8e307, 0.0, 0.0)] * 3 + [(9e307, 0.0, 0.0)])  # the centroid overflows
+@example(points=[tuple(1e200 * v for v in p) for p in TETRAHEDRON])  # the radius overflows
+def test_extreme_finite_coordinates_give_finite_output_or_the_envelope(argv, points, inputs):
+    argv = [a.format(**inputs) for a in argv]
+    bad = next(a for a in argv if a.startswith(inputs["bad"]))
+    with open(bad, "w") as handle:
+        handle.write("".join(f"{x!r} {y!r} {z!r}\n" for x, y, z in points))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv)
+    if code == 1:
+        envelope = json.loads(err.getvalue().splitlines()[-1])
+        assert set(envelope) == {"error", "detail"}
+        return
+    assert code == 0
+    result = json.loads(out.getvalue())
+    if argv[0] == "score":
+        assert all(math.isfinite(v) for k, v in result.items() if k != "candidate")
+    else:
+        assert len(result["occupied"]) > 0

@@ -29,10 +29,14 @@ from brickforge.geometry import (
 from conftest import (
     assert_watertight,
     chamfer_bruteforce,
+    chamfer_reference,
     enclosed_volume,
     euler_characteristic,
     grow_random_assembly,
 )
+
+
+TETRAHEDRON = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
 
 
 def sphere_cloud(n=20000, seed=5):
@@ -317,6 +321,21 @@ class TestNormalize:
         with pytest.raises(EmptyCloudError, match="cannot normalize an empty cloud"):
             normalize_cloud(PointCloud(np.zeros((0, 3))))
 
+    @pytest.mark.parametrize("points", [
+        [[8e307, 0, 0]] * 3 + [[9e307, 0, 0]],  # the centroid's sum overflows
+        TETRAHEDRON * 1e200,  # the squared radius overflows
+        [[-1.7e308, 0, 0], [1.7e308, 0, 0], [1.7e308, 0, 0]],  # a centred point overflows
+    ])
+    def test_overflowing_extent(self, points):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before numpy warns
+            with pytest.raises(DegenerateExtentError, match="coordinates up to"):
+                normalize_cloud(PointCloud(np.array(points, dtype=float)))
+
+    def test_large_finite_extent_still_scales(self):
+        out = normalize_cloud(PointCloud(TETRAHEDRON * 2.0 ** 500))  # exact scaling
+        assert np.array_equal(out.points, normalize_cloud(PointCloud(TETRAHEDRON)).points)
+
 
 class TestChamfer:
     def test_identical(self, rng):
@@ -342,6 +361,29 @@ class TestChamfer:
     def test_empty(self):
         with pytest.raises(EmptyCloudError):
             chamfer(PointCloud(np.zeros((0, 3))), PointCloud(np.ones((1, 3))))
+
+    def test_equals_the_median_split_reference_exactly(self):
+        """Sliding-midpoint trees return the very distances of the default
+        trees, on clouds full of ties and flat or collinear spans."""
+        rng = np.random.default_rng(28)
+
+        def cloud(kind: int) -> PointCloud:
+            n = int(rng.integers(1, 300))
+            if kind == 0:  # one point
+                return PointCloud(rng.normal(size=(1, 3)))
+            if kind == 1:  # a few points, each repeated
+                return PointCloud(np.repeat(rng.normal(size=(1 + n // 20, 3)), 20, axis=0))
+            if kind == 2:  # coplanar
+                return PointCloud(np.column_stack([rng.normal(size=(n, 2)), np.zeros(n)]))
+            if kind == 3:  # colinear
+                return PointCloud(np.outer(rng.normal(size=n), rng.normal(size=3)))
+            if kind == 4:  # quarter steps on the grid, as surface samples nearly are
+                return PointCloud(rng.integers(0, 80, size=(n, 3)) / 4.0)
+            return PointCloud(rng.normal(size=(n, 3)))
+
+        for _ in range(200):
+            p, q = cloud(int(rng.integers(6))), cloud(int(rng.integers(6)))
+            assert chamfer(p, q) == chamfer_reference(p, q)
 
 
 class TestWireFormats:

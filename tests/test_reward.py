@@ -1,8 +1,11 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from brickforge import reward
 from brickforge.bricks import Brick, BrickAssembly
 from brickforge.errors import NonFiniteInputError
 from brickforge.geometry import (
@@ -25,7 +28,13 @@ from brickforge.reward import (
 from brickforge.stability import stability_scores
 from brickforge.tokens import TokenSequence
 
-from conftest import chamfer_bruteforce
+from conftest import chamfer_bruteforce, total_reward_reference
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+sys.path.insert(0, str(BENCH))
+
+import inputs  # noqa: E402
+import workloads  # noqa: E402
 
 
 def column_assembly():
@@ -90,6 +99,58 @@ class TestTotalReward:
         assert got.r_cd == pytest.approx(max(1 - 5 * d_cd, 0.0), abs=1e-9)
         assert got.r_stable == r_st
         assert got.r_total == pytest.approx(r_iou + got.r_cd + r_st, abs=1e-12)
+
+
+def shell_cloud() -> PointCloud:
+    """Cell centres of the grid's outer faces: solid fill fills the grid."""
+    cells = np.argwhere(np.ones((20, 20, 20), dtype=bool))
+    return PointCloud(cells[((cells == 0) | (cells == 19)).any(axis=1)] + 0.5)
+
+
+class TestTargetMemo:
+    """``total_reward`` keeps one target's grid and normalized cloud between
+    calls; every score must still be the one computed from scratch."""
+
+    CANDIDATE = BrickAssembly((Brick(2, 4, 8, 8, 0), Brick(2, 2, 8, 9, 1),
+                               Brick(1, 2, 9, 9, 2)))
+
+    def test_targets_in_turn_match_the_reference(self, rng):
+        a, b = shell_cloud(), PointCloud(rng.normal(size=(300, 3)))
+        got = []
+        for target, fill in ((a, True), (b, True), (a, True), (a, False)):
+            ours = total_reward(target, self.CANDIDATE, samples=256, seed=3, solid_fill=fill)
+            assert ours == total_reward_reference(target, self.CANDIDATE, samples=256,
+                                                  seed=3, solid_fill=fill)
+            got.append(ours)
+        assert got[0] == got[2] and got[2].r_iou != got[3].r_iou
+
+    def test_a_target_edited_in_place_scores_as_edited(self):
+        target = shell_cloud()
+        before = total_reward(target, self.CANDIDATE, samples=256, seed=3)
+        target.points[:, 2] *= 0.5
+        after = total_reward(target, self.CANDIDATE, samples=256, seed=3)
+        assert after == total_reward_reference(target, self.CANDIDATE, samples=256, seed=3)
+        assert after != before
+
+    def test_candidates_of_one_target_voxelize_and_normalize_it_once(self, rng, monkeypatch):
+        calls = []
+        for name in ("voxelize_points", "normalize_cloud"):
+            def counted(*args, _name=name, _fn=getattr(reward, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(reward, name, counted)
+        target = PointCloud(rng.normal(size=(200, 3)))  # unlike any earlier target
+        for seed in range(3):
+            total_reward(target, self.CANDIDATE, samples=128, seed=seed)
+        assert calls.count("voxelize_points") == 1
+        assert calls.count("normalize_cloud") == 1 + 3  # the target once, each sample
+
+    def test_score_benchmark_ops_match_the_reference(self, tmp_path):
+        wl = workloads.make("score", tmp_path)
+        prepared = wl.prepare(inputs.build("score", 1))
+        assert len(prepared) == 48
+        for x in prepared:
+            assert wl.op(x) == total_reward_reference(x.cloud, x.candidate, seed=x.sample_seed)
 
 
 def seq(n):
