@@ -21,8 +21,8 @@ GRID = 20
 # The eight catalog bricks, closed under 90-degree rotation.
 BASE_SIZES = ((1, 1), (1, 2), (1, 4), (1, 6), (1, 8), (2, 2), (2, 4), (2, 6))
 CATALOG_SIZES = frozenset(BASE_SIZES) | frozenset((w, h) for h, w in BASE_SIZES)
-SIZE_VALUES = (1, 2, 4, 6, 8)
-MAX_FOOTPRINT_AREA = 12  # largest catalog footprint (2x6)
+SIZE_VALUES = tuple(sorted({v for size in BASE_SIZES for v in size}))  # (1, 2, 4, 6, 8)
+MAX_FOOTPRINT_AREA = max(h * w for h, w in BASE_SIZES)  # 12, the 2x6
 
 
 @total_ordering

@@ -26,10 +26,15 @@ from .errors import BrickforgeError, MalformedInputError
 
 
 def _emit(text: str, out: str | None):
-    if out:
-        Path(out).write_text(text)
-    else:
+    """Write ``text`` to the file ``out``, or to stdout when none is given.  An
+    unwritable path raises MalformedInputError, as an unreadable input does."""
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as err:  # a missing directory, a directory, no permission
+        raise MalformedInputError(f"cannot write {out}: {err.strerror}") from None
 
 
 def _read(path: str, as_json: bool = False):
@@ -181,7 +186,7 @@ def _cmd_generate(args) -> int:
     result = bf.generate(policy, target, budgets, _physics(args), **_given(args, "seed"))
     _emit(result.assembly.to_json(), args.output)
     if args.emit_tokens:
-        Path(args.emit_tokens).write_text(result.sequence.to_text() + "\n")
+        _emit(result.sequence.to_text() + "\n", args.emit_tokens)
     trace = result.trace.to_dict()
     trace["stable"] = result.stable
     sys.stderr.write(json.dumps(trace) + "\n")

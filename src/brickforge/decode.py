@@ -24,6 +24,7 @@ import select
 import subprocess
 import time
 from dataclasses import dataclass, field
+from operator import index
 
 import numpy as np
 
@@ -101,6 +102,10 @@ def validate_tuple(state: DecodeState, f: int, h: int, w: int, m: int):
         return None, REJECT_BOUNDS
     if not is_free(state.cells, rh, rw, x, y, z):
         return None, REJECT_COLLISION
+    try:  # accepted: numpy integers go on as ints, and a float equal to one is refused
+        f, h, w, m = index(f), index(h), index(w), index(m)
+    except TypeError:
+        raise MalformedInputError(f"tuple fields {(f, h, w, m)!r} are not all ints") from None
     return decode_attachment(f, m, parent, (h, w)), None
 
 
@@ -431,8 +436,8 @@ def _run_episode(policy: Policy, target: VoxelGrid, state: DecodeState,
                 state.apply_eop()
                 break
             brick, reason = validate_tuple(state, *action)
-            if brick is not None:
-                state.apply_tuple(*action, brick)
+            if brick is not None:  # numpy integers enter the state as ints
+                state.apply_tuple(*map(index, action), brick)
                 break
             trace.reject(reason)
         else:  # every proposal was rejected

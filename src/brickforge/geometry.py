@@ -353,7 +353,10 @@ def sample_surface(mesh: SurfaceMesh, n: int, seed: int) -> PointCloud:
 def normalize_cloud(cloud: PointCloud) -> PointCloud:
     """Center at the centroid and scale so the maximum radial distance is 1.
 
-    A cloud whose centroid or radius overflows raises DegenerateExtentError.
+    A cloud whose centroid or radius overflows raises DegenerateExtentError;
+    one whose radius is below 1e-150, where squared distances lose digits
+    and then underflow, is measured in units of its largest centred
+    coordinate instead.
     """
     if len(cloud) == 0:
         raise EmptyCloudError("cannot normalize an empty cloud")
@@ -364,6 +367,9 @@ def normalize_cloud(cloud: PointCloud) -> PointCloud:
     if not np.isfinite(radius):  # an infinite or NaN centroid leaves no finite radius either
         raise DegenerateExtentError(
             f"coordinates up to {np.abs(pts).max()} have no finite radius about their centroid")
+    if radius < 1e-150 and centered.any():  # squares below ~1e-308 lose digits: rescale first
+        centered = centered / np.abs(centered).max()
+        radius = float(np.linalg.norm(centered, axis=1).max())
     if radius <= 0.0:
         raise DegenerateCloudError("cloud has no extent around its centroid")
     return PointCloud(centered / radius, cloud.normals)

@@ -102,33 +102,26 @@ def codebook() -> list[CodebookEntry]:
 
 
 def baseline_codebook() -> list[CodebookEntry]:
-    """Codebook of the flat per-brick (h,w,x,y,z) serialization: 28 entries.
-
-    Provided for comparison tooling only; there is no decoding harness for
-    this layout.
-    """
-    entries = [CodebookEntry(0, KIND_BOS, None, "BOS"),
-               CodebookEntry(1, KIND_EOS, None, "EOS"),
-               CodebookEntry(2, KIND_PAD, None, "PAD")]
-    entries += [CodebookEntry(3 + v, KIND_COORD, v, f"C{v}") for v in range(GRID)]
-    entries += [CodebookEntry(23 + i, KIND_SIZE, v, f"S{v}") for i, v in enumerate(SIZE_VALUES)]
-    return entries
+    """Codebook of the flat per-brick (h,w,x,y,z) serialization: the tree codebook
+    without EOP, F and M, renumbered 0..27.  For comparison tooling only; there
+    is no decoding harness for this layout."""
+    kept = [e for e in codebook() if e.kind not in (KIND_EOP, KIND_F, KIND_M)]
+    return [e._replace(id=i) for i, e in enumerate(kept)]
 
 
 _TOKEN_BY_ID = tuple(Token(e.kind, e.value) for e in codebook())
 _ID_BY_TOKEN = {(t.kind, t.value): tid for tid, t in enumerate(_TOKEN_BY_ID)}
 BOS, EOS, PAD, EOP = _TOKEN_BY_ID[:4]
 
-# Every canonical text field (``X5``, ``H2``, ``F17``, ``EOP``, ...) and its
-# token; ``TokenSequence.from_text`` parses only the fields missing here.
+# The labels of each kind's text fields (``X5``, ``H2``, ``F17``, ...) and the
+# kind's token constructor, which also parses noncanonical fields (``X05``).
+_FIELDS = {KIND_COORD: ("XYZC", coord), KIND_SIZE: ("HWS", size),
+           KIND_F: ("F", f_token), KIND_M: ("M", m_token)}
+# Every canonical text field and its token; ``from_text`` parses only the rest.
 _TOKEN_BY_TEXT = {kind: _TOKEN_BY_ID[sid] for kind, sid in _SPECIALS.items()}
-_TOKEN_BY_TEXT.update({f"{label}{v}": coord(v) for label in "XYZC" for v in range(GRID)})
-_TOKEN_BY_TEXT.update({f"{label}{v}": size(v) for label in "HWS" for v in SIZE_VALUES})
-_TOKEN_BY_TEXT.update({f"F{v}": f_token(v) for v in range(F_RANGE)})
-_TOKEN_BY_TEXT.update({f"M{v}": m_token(v) for v in range(M_RANGE)})
-# The token constructor of each field label, for noncanonical fields (``X05``).
-_TOKEN_BY_LABEL = {**dict.fromkeys("XYZC", coord), **dict.fromkeys("HWS", size),
-                   "F": f_token, "M": m_token}
+_TOKEN_BY_TEXT.update({f"{label}{t.value}": t for t in _TOKEN_BY_ID[_COORD_BASE:]
+                       for label in _FIELDS[t.kind][0]})
+_TOKEN_BY_LABEL = {label: make for labels, make in _FIELDS.values() for label in labels}
 
 
 class TokenSequence(tuple):

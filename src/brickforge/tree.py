@@ -2,24 +2,15 @@
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 
-from .attach import AttachmentCode, encode_attachment
+from .attach import encode_attachment
 from .bricks import BrickAssembly, attachment_adjacency, connected_components, root_index
 from .errors import DisconnectedGraphError, EmptyAssemblyError
 
-
-class AttachmentTree:
-    """BFS spanning tree: per-parent children sorted by f, the BFS order, and
-    each non-root brick's attachment code against its parent."""
-
-    __slots__ = ("root", "children", "bfs_order", "codes")
-
-    def __init__(self, root: int):
-        self.root = root
-        self.children: dict[int, list[int]] = {}
-        self.bfs_order: list[int] = []
-        self.codes: dict[int, AttachmentCode] = {}
+# root, {parent: children sorted by f}, the BFS order, and each non-root
+# brick's AttachmentCode against its parent
+AttachmentTree = namedtuple("AttachmentTree", "root children bfs_order codes")
 
 
 def build_spanning_tree(assembly: BrickAssembly) -> AttachmentTree:
@@ -35,22 +26,21 @@ def build_spanning_tree(assembly: BrickAssembly) -> AttachmentTree:
         raise EmptyAssemblyError("assembly has no bricks")
     adj = attachment_adjacency(assembly)
     root = root_index(assembly)
-    tree = AttachmentTree(root)
-    codes = tree.codes
+    children, bfs_order, codes = {}, [], {}
     visited = [False] * len(bricks)
     visited[root] = True
     queue = deque([root])
     while queue:
         p = queue.popleft()
-        tree.bfs_order.append(p)
+        bfs_order.append(p)
         parent = bricks[p]
         unvisited = [c for c in adj[p] if not visited[c]]
         for c in unvisited:
             visited[c] = True
             codes[c] = encode_attachment(parent, bricks[c])
         unvisited.sort(key=lambda c: codes[c].f)
-        tree.children[p] = unvisited
+        children[p] = unvisited
         queue.extend(unvisited)
-    if len(tree.bfs_order) != len(bricks):
+    if len(bfs_order) != len(bricks):
         raise DisconnectedGraphError(len(connected_components(assembly)))
-    return tree
+    return AttachmentTree(root, children, bfs_order, codes)

@@ -79,6 +79,7 @@ from brickforge.tokens import (
     KIND_M,
     KIND_PAD,
     KIND_SIZE,
+    CodebookEntry,
     TokenSequence,
     coord,
     f_token,
@@ -496,6 +497,17 @@ def replay_checked_reference(body) -> tuple:
         state.apply_tuple(f, h, w, m, brick)
         idx += 4
     return state.fingerprint()
+
+
+def baseline_codebook_reference() -> list[CodebookEntry]:
+    """The flat (h,w,x,y,z) codebook as it was typed out entry by entry, before
+    ``baseline_codebook`` was cut from the tree codebook."""
+    entries = [CodebookEntry(0, KIND_BOS, None, "BOS"),
+               CodebookEntry(1, KIND_EOS, None, "EOS"),
+               CodebookEntry(2, KIND_PAD, None, "PAD")]
+    entries += [CodebookEntry(3 + v, KIND_COORD, v, f"C{v}") for v in range(GRID)]
+    entries += [CodebookEntry(23 + i, KIND_SIZE, v, f"S{v}") for i, v in enumerate((1, 2, 4, 6, 8))]
+    return entries
 
 
 # The codec as it was before each tree edge was encoded once, the decoder

@@ -281,6 +281,15 @@ def test_spanning_tree_deterministic(rng):
     assert t1.bfs_order == t2.bfs_order
 
 
+def test_spanning_tree_is_a_record_compared_by_its_fields():
+    a = BrickAssembly((Brick(2, 4, 0, 0, 0), Brick(2, 2, 1, 0, 1)))
+    tree = build_spanning_tree(a)
+    assert tree._fields == ("root", "children", "bfs_order", "codes")
+    assert tree == (0, {0: [1], 1: []}, [0, 1], {1: (1, 0)})
+    again = build_spanning_tree(a)
+    assert again == tree and again is not tree
+
+
 def test_spanning_tree_edges_subset_and_count(rng):
     for _ in range(10):
         a = grow_random_assembly(rng, 25)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from brickforge.bricks import Brick, BrickAssembly
 from brickforge.cli import main
+from brickforge.stability import PARAM_CEILINGS
 from brickforge.tokenizer import tokenize
 
 # Each command with the arbitrary file as {bad}; other inputs are valid.
@@ -117,3 +118,71 @@ def test_extreme_finite_coordinates_give_finite_output_or_the_envelope(argv, poi
         assert all(math.isfinite(v) for k, v in result.items() if k != "candidate")
     else:
         assert len(result["occupied"]) > 0
+
+
+# Finite flag values at the edges: subnormals, each physics ceiling and the
+# float just below it, 1e308 and negatives, beside any finite float.
+CEILINGS = [c for c in PARAM_CEILINGS.values() if math.isfinite(c)]
+FLAG_EXTREMES = [5e-324, -5e-324, 2.2e-308, 1e-300, 1e308, -1e308, -1.0, 0.0, -0.0]
+FLAG_EXTREMES += CEILINGS + [math.nextafter(c, 0.0) for c in CEILINGS]
+FLAG_VALUES = st.one_of(st.sampled_from(FLAG_EXTREMES),
+                        st.floats(allow_nan=False, allow_infinity=False))
+# Sample counts outside [1, 1048576], a few inside (the ceiling itself takes
+# seconds to score), and float text, which is no count.
+SAMPLE_COUNTS = st.one_of(st.integers(max_value=0), st.integers(min_value=(1 << 20) + 1),
+                          st.integers(1, 256), FLAG_VALUES)
+
+SCORE = ["score", "--samples", "64", "--target", "{cloud}", "{assembly}"]
+FLAGGED = [(["stability", "{assembly}"], flag) for flag in ("--clutch", "--weight", "--slack-eps")]
+FLAGGED += [(SCORE, flag) for flag in ("--clutch", "--weight", "--slack-eps")]
+FLAGGED += [(["generate", "--max-bricks", "4", "--max-rollbacks", "1", "--target", "{cloud}"],
+             "--temperature")]
+
+
+def all_finite(value) -> bool:
+    if isinstance(value, dict):
+        return all(all_finite(v) for v in value.values())
+    if isinstance(value, list):
+        return all(all_finite(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+def run_flagged(argv, value, inputs):
+    """main() on ``argv`` plus ``value``: (exit code, stdout, stderr), with
+    numpy's RuntimeWarning raised as an error."""
+    argv = [a.format(**inputs) for a in argv[:-1]] + [argv[-1] + "=" + repr(value)]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            code = main(argv)
+        except SystemExit as exit_:  # a usage error
+            code = exit_.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def check_flag_outcome(code, out, err):
+    """Exit 0 with finite JSON, 1 with the envelope, or 2 with a usage error."""
+    if code == 0:
+        assert all_finite(json.loads(out))
+    elif code == 1:
+        envelope = json.loads(err.splitlines()[-1])
+        assert set(envelope) == {"error", "detail"}
+    else:
+        assert code == 2 and "usage:" in err
+
+
+@pytest.mark.parametrize("argv, flag", FLAGGED, ids=lambda v: v if isinstance(v, str) else v[0])
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(value=FLAG_VALUES)
+def test_extreme_flag_values_give_finite_output_the_envelope_or_a_usage_error(argv, flag, value,
+                                                                              inputs):
+    check_flag_outcome(*run_flagged(argv + [flag], value, inputs))
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(value=SAMPLE_COUNTS)
+@example(value=(1 << 20) + 1)
+def test_extreme_sample_counts_give_finite_output_or_a_usage_error(value, inputs):
+    check_flag_outcome(*run_flagged(SCORE + ["--samples"], value, inputs))

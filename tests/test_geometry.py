@@ -336,6 +336,12 @@ class TestNormalize:
         out = normalize_cloud(PointCloud(TETRAHEDRON * 2.0 ** 500))  # exact scaling
         assert np.array_equal(out.points, normalize_cloud(PointCloud(TETRAHEDRON)).points)
 
+    @pytest.mark.parametrize("extent", [1e-300, 1e-162, 1e-160, 1e-155])  # squares subnormal or 0
+    def test_tiny_extent_normalizes_like_its_magnified_copy(self, extent):
+        tiny = np.array([[0, 0, 0], [extent, 0, 0], [0, extent, 0], [0, 0, 3 * extent]])
+        out = normalize_cloud(PointCloud(tiny)).points
+        assert np.abs(out - normalize_cloud(PointCloud(tiny / extent)).points).max() < 1e-12
+
 
 class TestChamfer:
     def test_identical(self, rng):

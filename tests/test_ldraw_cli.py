@@ -1,8 +1,10 @@
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -235,6 +237,16 @@ class TestCli:
             "error": "non_finite_input",
             "detail": "point cloud has a NaN or infinite coordinate"}
 
+    def test_score_scales_a_tiny_cloud(self, assembly_file, tmp_path, capsys):
+        cloud = tmp_path / "tiny.xyz"
+        cloud.write_text("0 0 0\n1e-300 0 0\n0 1e-300 0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["score", "--samples", "64", "--target", str(cloud),
+                         str(assembly_file)]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert all(math.isfinite(v) for k, v in result.items() if k != "candidate")
+
     @pytest.mark.parametrize("command", ["score", "voxelize"])
     @pytest.mark.parametrize("text, error, detail", [
         ("0 0 0\n1 2\n", "malformed_input", "point line needs 3 or 6 fields, got 2"),
@@ -398,6 +410,36 @@ class TestCli:
         assert captured.out == ""
         assert json.loads(captured.err) == {"error": "malformed_input",
                                             "detail": f"cannot read {path}: {reason}"}
+
+    # Every command that writes a file, ending in the flag that names it.
+    WRITERS = [
+        ["tokenize", "{assembly}", "-o"],
+        ["detokenize", "{tokens}", "-o"],
+        ["stability", "{assembly}", "-o"],
+        ["export-ldraw", "{assembly}", "-o"],
+        ["voxelize", "{cloud}", "-o"],
+        ["generate", "--max-bricks", "4", "--max-rollbacks", "1", "--target", "{cloud}", "-o"],
+        ["generate", "--max-bricks", "4", "--max-rollbacks", "1", "--target", "{cloud}",
+         "-o", "{written}", "--emit-tokens"],
+    ]
+
+    @pytest.mark.parametrize("argv", WRITERS, ids=" ".join)
+    @pytest.mark.parametrize("name, reason", [
+        ("missing/out", "No such file or directory"),
+        ("", "Is a directory"),
+    ])
+    def test_unwritable_output_envelope(self, argv, name, reason, assembly_file, cloud_file,
+                                        tmp_path, capsys):
+        tokens = tmp_path / "in.tok"
+        tokens.write_text("BOS X0 Y0 Z0 H2 W2 EOS\n")
+        paths = {"assembly": assembly_file, "tokens": tokens, "cloud": cloud_file,
+                 "written": tmp_path / "written.json"}
+        path = tmp_path / name
+        assert main([a.format(**paths) for a in argv] + [str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "malformed_input",
+                                            "detail": f"cannot write {path}: {reason}"}
 
     @pytest.mark.parametrize("argv, flag, value", [
         (["stability", "a.json"], "--clutch", "nan"),

@@ -2,8 +2,9 @@ import re
 
 import pytest
 
-from brickforge.attach import decode_attachment, encode_attachment
-from brickforge.bricks import Brick, BrickAssembly
+from brickforge import tokens
+from brickforge.attach import F_RANGE, M_RANGE, decode_attachment, encode_attachment
+from brickforge.bricks import GRID, MAX_FOOTPRINT_AREA, SIZE_VALUES, Brick, BrickAssembly
 from brickforge.errors import (
     CollisionError,
     MalformedHeaderError,
@@ -37,7 +38,7 @@ from brickforge.tokens import (
     token_to_id,
 )
 
-from conftest import CATALOG, grow_random_assembly
+from conftest import CATALOG, baseline_codebook_reference, grow_random_assembly
 
 
 class TestAttachmentCodes:
@@ -120,6 +121,17 @@ class TestCodebook:
     def test_special_layout(self):
         names = [e.name for e in codebook()[:4]]
         assert names == ["BOS", "EOS", "PAD", "EOP"]
+
+    def test_baseline_is_the_typed_out_table(self):
+        assert baseline_codebook() == baseline_codebook_reference()
+
+    def test_size_values_and_ranges_follow_the_catalog(self):
+        assert SIZE_VALUES == (1, 2, 4, 6, 8) and MAX_FOOTPRINT_AREA == 12
+        assert (F_RANGE, M_RANGE) == (24, 12)
+        assert [(e.id, e.value) for e in codebook() if e.kind == "SIZE"] == [
+            (24, 1), (25, 2), (26, 4), (27, 6), (28, 8)]
+        assert [e.id for e in codebook() if e.kind == "F"] == list(range(29, 53))
+        assert [e.id for e in codebook() if e.kind == "M"] == list(range(53, 65))
 
     def test_every_id_roundtrips_through_both_wire_forms(self):
         for tid in range(CODEBOOK_SIZE):
@@ -332,6 +344,38 @@ class TestSequenceStats:
             sequence_stats(TokenSequence.from_text("BOS X0 Y0 Z0 H2 W4 F0 EOS"))
 
 
+# The two text-field tables as they were typed out before both were read off
+# one label table, and the field parser built on them.
+OLD_TOKEN_BY_TEXT = {kind: token_from_id(sid) for sid, kind in enumerate(("BOS", "EOS", "PAD", "EOP"))}
+OLD_TOKEN_BY_TEXT.update({f"{label}{v}": coord(v) for label in "XYZC" for v in range(GRID)})
+OLD_TOKEN_BY_TEXT.update({f"{label}{v}": size(v) for label in "HWS" for v in SIZE_VALUES})
+OLD_TOKEN_BY_TEXT.update({f"F{v}": f_token(v) for v in range(F_RANGE)})
+OLD_TOKEN_BY_TEXT.update({f"M{v}": m_token(v) for v in range(M_RANGE)})
+OLD_TOKEN_BY_LABEL = {**dict.fromkeys("XYZC", coord), **dict.fromkeys("HWS", size),
+                      "F": f_token, "M": m_token}
+
+
+def from_text_reference(field: str) -> TokenSequence:
+    token = OLD_TOKEN_BY_TEXT.get(field)
+    if token is None:
+        make, digits = OLD_TOKEN_BY_LABEL.get(field[0]), field[1:]
+        try:
+            if make is None or not (digits.isascii() and digits.isdigit()):
+                raise ValueError
+            value = int(digits)
+        except ValueError:
+            raise MalformedSequenceError(f"unparseable token field {field!r}") from None
+        token = make(value)
+    return TokenSequence([token])
+
+
+def parse_outcome(parse, field):
+    try:
+        return parse(field)
+    except MalformedSequenceError as err:
+        return str(err)
+
+
 class TestWireFormats:
     def test_text_roundtrip(self, rng):
         for _ in range(20):
@@ -400,6 +444,20 @@ class TestWireFormats:
     ])
     def test_noncanonical_text_fields_parse(self, field, token):
         assert TokenSequence.from_text(f"BOS {field} EOS").tokens[1] == token
+
+    def test_label_tables_match_the_two_typed_out_tables(self):
+        assert tokens._TOKEN_BY_TEXT == OLD_TOKEN_BY_TEXT
+        assert tokens._TOKEN_BY_LABEL == OLD_TOKEN_BY_LABEL
+
+    def test_from_text_accepts_exactly_the_old_fields(self):
+        labels = [chr(c) for c in range(ord("A"), ord("Z") + 1)] + ["c", "x", "", "_", "\u0661"]
+        digits = [str(v) for v in range(-2, 70)] + ["0" + str(v) for v in range(30)]
+        digits += ["", "+1", "1.0", "1e1", "\u00b2", "\u0661", "00"]
+        fields = [lab + dig for lab in labels for dig in digits] + list(OLD_TOKEN_BY_TEXT)
+        fields += ["BOS", "EOS", "PAD", "EOP", "bos", "EOPX", "BOS0"]
+        for field in filter(None, fields):
+            assert parse_outcome(TokenSequence.from_text, field) == parse_outcome(
+                from_text_reference, field), field
 
     def test_binary_names_the_first_out_of_range_id(self):
         blob = (4).to_bytes(4, "little") + bytes([0, 70, 200, 1])
