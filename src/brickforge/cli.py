@@ -2,9 +2,10 @@
 
 Every run with the same configuration and inputs is bit-identical in its
 outputs; all randomness flows from the --seed flag.  Domain errors exit 1
-with a JSON diagnostic envelope {"error": code, "detail": text} on stderr;
-usage errors exit 2.  A flag that sets a library argument is passed on
-only when given, so an omitted flag means the library's default.
+with a JSON diagnostic envelope {"error": code, "detail": text} on stderr
+and nothing on stdout (see _emit); usage errors exit 2.  A flag that sets
+a library argument is passed on only when given, so an omitted flag means
+the library's default.
 
 Handlers reach the library through the package's names (``bf.tokenize``),
 each of which loads its module on first use, so a command loads only the
@@ -25,9 +26,9 @@ import brickforge as bf
 from .errors import BrickforgeError, MalformedInputError
 
 
-def _emit(text: str, out: str | None):
-    """Write ``text`` to the file ``out``, or to stdout when none is given.  An
-    unwritable path raises MalformedInputError, as an unreadable input does."""
+def _emit(text: str, out: str | None = None):
+    """Write a command's result, after all of its work, to the file ``out`` or
+    to stdout.  An unwritable path raises MalformedInputError, as a bad input does."""
     if not out:
         sys.stdout.write(text)
         return
@@ -97,7 +98,7 @@ def _checked(convert, accept, want: str):
 _finite = _checked(float, math.isfinite, "must be finite")
 _count = _checked(int, lambda v: v >= 1, "must be an integer >= 1")
 _seed = _checked(int, lambda v: v >= 0, "must be an integer >= 0")
-_samples = _checked(int, lambda v: 1 <= v <= 1 << 20, "must be an integer in [1, 1048576]")
+_samples = _checked(int, lambda v: 2 <= v <= 1 << 20, "must be an integer in [2, 1048576]")
 
 
 def _physics_field(name: str):
@@ -142,15 +143,14 @@ def _cmd_roundtrip(args) -> int:
     seq = bf.tokenize(assembly)
     back = bf.detokenize(seq)
     identical = sorted(back.bricks) == sorted(assembly.bricks)
-    print(json.dumps({"identical": identical, "bricks": len(assembly),
-                      "tokens": len(seq)}))
+    _emit(json.dumps({"identical": identical, "bricks": len(assembly), "tokens": len(seq)}) + "\n")
     return 0 if identical else 1
 
 
 def _cmd_validate(args) -> int:
     assembly = _load_assembly(args.input)
-    print(json.dumps({"valid": True, "bricks": len(assembly),
-                      "connected": bf.is_connected(assembly)}))
+    _emit(json.dumps({"valid": True, "bricks": len(assembly),
+                      "connected": bf.is_connected(assembly)}) + "\n")
     return 0
 
 
@@ -162,16 +162,16 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    for path, _, breakdown in _scored(args):
-        sys.stdout.write(json.dumps({"candidate": path, **breakdown.to_dict()}) + "\n")
+    _emit("".join(json.dumps({"candidate": path, **breakdown.to_dict()}) + "\n"
+                  for path, _, breakdown in _scored(args)))
     return 0
 
 
 def _cmd_prefpairs(args) -> int:
     scored = [(bf.tokenize(assembly), breakdown) for _, assembly, breakdown in _scored(args)]
-    for pair in bf.build_preference_pairs(scored, condition=args.condition or args.target,
-                                          **_given(args, "gap_min", "floor")):
-        sys.stdout.write(json.dumps(pair.to_dict()) + "\n")
+    pairs = bf.build_preference_pairs(scored, condition=args.condition or args.target,
+                                      **_given(args, "gap_min", "floor"))
+    _emit("".join(json.dumps(pair.to_dict()) + "\n" for pair in pairs))
     return 0
 
 
@@ -184,9 +184,9 @@ def _cmd_generate(args) -> int:
     budgets = bf.DecodeBudgets(**_given(args, "max_resamples_per_tuple", "max_rollbacks",
                                         "max_bricks"))
     result = bf.generate(policy, target, budgets, _physics(args), **_given(args, "seed"))
-    _emit(result.assembly.to_json(), args.output)
     if args.emit_tokens:
         _emit(result.sequence.to_text() + "\n", args.emit_tokens)
+    _emit(result.assembly.to_json(), args.output)
     trace = result.trace.to_dict()
     trace["stable"] = result.stable
     sys.stderr.write(json.dumps(trace) + "\n")
@@ -212,7 +212,7 @@ def _cmd_stats(args) -> int:
         per_file.append({"file": path, "N": stats.n_bricks, "I": stats.n_eop,
                          "T": stats.length})
     mean_t = sum(s["T"] for s in per_file) / len(per_file)
-    print(json.dumps({"sequences": per_file, "mean_T": mean_t}, indent=2))
+    _emit(json.dumps({"sequences": per_file, "mean_T": mean_t}, indent=2) + "\n")
     return 0
 
 

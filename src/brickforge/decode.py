@@ -165,9 +165,7 @@ class GreedyGeometryPolicy(Policy):
         """actions[0] is EOP when present; ties at temperature zero prefer it."""
         best = max(scores)
         if self.temperature <= 0.0:
-            for action, score in zip(actions, scores):
-                if score == best:
-                    return action
+            return actions[scores.index(best)]
         with np.errstate(over="ignore"):  # a tiny temperature sends the losers to -inf
             weights = np.exp((np.array(scores) - best) / self.temperature)
         pick = rng.choice(len(actions), p=weights / weights.sum())

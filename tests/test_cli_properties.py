@@ -30,6 +30,7 @@ COMMANDS = [
     ["stats", "{bad}.tok"],
     ["score", "--samples", "64", "--target", "{bad}.xyz", "{assembly}"],
     ["score", "--samples", "64", "--target", "{cloud}", "{bad}.json"],
+    ["score", "--samples", "64", "--target", "{cloud}", "{assembly}", "{bad}.json"],
     ["prefpairs", "--samples", "64", "--target", "{cloud}", "{assembly}", "{bad}.json"],
     ["generate", "--max-bricks", "8", "--max-rollbacks", "1", "--target", "{bad}.xyz"],
     ["generate", "--max-bricks", "8", "--max-rollbacks", "1", "--target", "{bad}.json"],
@@ -76,6 +77,7 @@ def test_any_file_bytes_exit_0_or_1_with_the_envelope(argv, payload, inputs):
         code = main(argv)
     assert code in (0, 1)
     if code == 1:
+        assert out.getvalue() == ""
         envelope = json.loads(err.getvalue().splitlines()[-1])
         assert set(envelope) == {"error", "detail"}
 
@@ -127,10 +129,11 @@ FLAG_EXTREMES = [5e-324, -5e-324, 2.2e-308, 1e-300, 1e308, -1e308, -1.0, 0.0, -0
 FLAG_EXTREMES += CEILINGS + [math.nextafter(c, 0.0) for c in CEILINGS]
 FLAG_VALUES = st.one_of(st.sampled_from(FLAG_EXTREMES),
                         st.floats(allow_nan=False, allow_infinity=False))
-# Sample counts outside [1, 1048576], a few inside (the ceiling itself takes
-# seconds to score), and float text, which is no count.
-SAMPLE_COUNTS = st.one_of(st.integers(max_value=0), st.integers(min_value=(1 << 20) + 1),
-                          st.integers(1, 256), FLAG_VALUES)
+# Sample counts outside [2, 1048576], 1 among them (one point has no
+# extent), a few inside (the ceiling itself takes seconds to score), and
+# float text, which is no count.
+SAMPLE_COUNTS = st.one_of(st.integers(max_value=1), st.integers(min_value=(1 << 20) + 1),
+                          st.integers(2, 256), FLAG_VALUES)
 
 SCORE = ["score", "--samples", "64", "--target", "{cloud}", "{assembly}"]
 FLAGGED = [(["stability", "{assembly}"], flag) for flag in ("--clutch", "--weight", "--slack-eps")]

@@ -421,6 +421,7 @@ class TestCli:
         ["generate", "--max-bricks", "4", "--max-rollbacks", "1", "--target", "{cloud}", "-o"],
         ["generate", "--max-bricks", "4", "--max-rollbacks", "1", "--target", "{cloud}",
          "-o", "{written}", "--emit-tokens"],
+        ["generate", "--max-bricks", "3", "--target", "{grid}", "--emit-tokens"],  # no -o: stdout
     ]
 
     @pytest.mark.parametrize("argv", WRITERS, ids=" ".join)
@@ -432,7 +433,9 @@ class TestCli:
                                         tmp_path, capsys):
         tokens = tmp_path / "in.tok"
         tokens.write_text("BOS X0 Y0 Z0 H2 W2 EOS\n")
-        paths = {"assembly": assembly_file, "tokens": tokens, "cloud": cloud_file,
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"shape": [20, 20, 20], "occupied": [[4, 7, 0], [4, 7, 1]]}))
+        paths = {"assembly": assembly_file, "tokens": tokens, "cloud": cloud_file, "grid": grid,
                  "written": tmp_path / "written.json"}
         path = tmp_path / name
         assert main([a.format(**paths) for a in argv] + [str(path)]) == 1
@@ -452,10 +455,12 @@ class TestCli:
         (["score", "--target", "c.xyz", "a.json"], "--clutch", "1e15"),
         (["generate", "--target", "t.json"], "--weight", "1e20"),
         (["score", "--target", "c.xyz", "a.json"], "--samples", "0"),
+        (["score", "--target", "c.xyz", "a.json"], "--samples", "1"),
         (["score", "--target", "c.xyz", "a.json"], "--samples", "1048577"),
         (["score", "--target", "c.xyz", "a.json"], "--samples", "100000000000000000000"),
         (["score", "--target", "c.xyz", "a.json"], "--weight", "-1"),
         (["prefpairs", "--target", "c.xyz", "a.json"], "--samples", "0"),
+        (["prefpairs", "--target", "c.xyz", "a.json"], "--samples", "1"),
         (["prefpairs", "--target", "c.xyz", "a.json"], "--samples", "1048577"),
         (["prefpairs", "--target", "c.xyz", "a.json"], "--samples", "100000000000000000000"),
         (["prefpairs", "--target", "c.xyz", "a.json"], "--gap-min", "nan"),
