@@ -96,6 +96,7 @@ def _checked(convert, accept, want: str):
 
 
 _finite = _checked(float, math.isfinite, "must be finite")
+_gap = _checked(float, lambda v: 0 <= v < math.inf, "must be finite and >= 0")
 _count = _checked(int, lambda v: v >= 1, "must be an integer >= 1")
 _seed = _checked(int, lambda v: v >= 0, "must be an integer >= 0")
 _samples = _checked(int, lambda v: 2 <= v <= 1 << 20, "must be an integer in [2, 1048576]")
@@ -267,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prefpairs", help="preference pairs from scored candidates",
                        parents=[scoring, fill, physics], **omit)
-    p.add_argument("--gap-min", type=_finite)
+    p.add_argument("--gap-min", type=_gap)
     p.add_argument("--floor", type=_finite)
     p.add_argument("--condition", default=None)
     p.set_defaults(func=_cmd_prefpairs)

@@ -23,6 +23,7 @@ import os
 import select
 import subprocess
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 from operator import index
 
@@ -345,15 +346,10 @@ class SubprocessPolicy(Policy):
         raise MalformedInputError(f"expected tuple/eop action, got {reply!r}")
 
 
-@dataclass
-class RollbackEvent:
-    """How far one rollback cut the sequence body back, the brick it blamed,
-    and which rule named that brick: "floating" (nothing stands on z = 0),
-    "certificate" (``certified_unstable``) or "lp" (a zero LP score)."""
-    body_len_before: int
-    body_len_after: int
-    brick: int
-    cause: str
+RollbackEvent = namedtuple("RollbackEvent", "body_len_before body_len_after brick cause")
+RollbackEvent.__doc__ = """How far one rollback cut the sequence body back, the brick it blamed,
+and which rule named that brick: "floating" (nothing stands on z = 0),
+"certificate" (``certified_unstable``) or "lp" (a zero LP score)."""
 
 
 @dataclass
@@ -463,7 +459,6 @@ def generate(policy: Policy, target: VoxelGrid,
     first attempt's LP is solved only when that attempt is returned.
     """
     budgets = budgets or DecodeBudgets()
-    params = params or PhysicsParams()
     rng = np.random.default_rng(seed)
     trace = GenerateTrace()
     state = DecodeState()

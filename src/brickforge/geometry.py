@@ -44,13 +44,8 @@ class PointCloud:
 
     def to_text(self) -> str:
         """One point per line: ``x y z [nx ny nz]``."""
-        rows = []
-        for i, p in enumerate(self.points):
-            fields = [repr(float(v)) for v in p]
-            if self.normals is not None:
-                fields += [repr(float(v)) for v in self.normals[i]]
-            rows.append(" ".join(fields))
-        return "\n".join(rows) + "\n"
+        table = self.points if self.normals is None else np.hstack((self.points, self.normals))
+        return "\n".join(" ".join(map(repr, row)) for row in table.tolist()) + "\n"
 
     @staticmethod
     def from_text(text: str) -> "PointCloud":

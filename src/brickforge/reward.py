@@ -3,14 +3,16 @@ and the post-training loss arithmetic.
 
 The reward adds a voxel-overlap term, a bounded surface-distance term, and
 the minimum per-brick stability score.  All losses are pure evaluations so
-an external trainer (or a policy hyperparameter search) can consume them.
+an external trainer (or a policy hyperparameter search) can consume them;
+each is a finite float or raises NonFiniteInputError, never nan or inf.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,8 +48,7 @@ class RewardBreakdown:
     r_total: float
 
     def to_dict(self) -> dict:
-        return {"r_iou": self.r_iou, "d_cd": self.d_cd, "r_cd": self.r_cd,
-                "r_geo": self.r_geo, "r_stable": self.r_stable, "r_total": self.r_total}
+        return asdict(self)
 
 
 def compose_reward(r_iou: float, d_cd: float, r_stable: float) -> RewardBreakdown:
@@ -78,7 +79,6 @@ def total_reward(target: PointCloud, candidate: BrickAssembly,
     mesh = extract_surface(candidate_grid)
     sampled = sample_surface(mesh, samples, seed)
     d_cd = chamfer(target_cloud, normalize_cloud(sampled))
-    params = params or PhysicsParams()
     certified = certified_unstable(candidate, params) is not None
     r_stable = 0.0 if certified else stability_scores(candidate, params).min_score
     return compose_reward(r_iou, d_cd, r_stable)
@@ -121,25 +121,24 @@ class PreferencePair:
 def build_preference_pairs(candidates: list[tuple[TokenSequence, RewardBreakdown]],
                            gap_min: float = PAIR_GAP_MIN, floor: float = PAIR_FLOOR,
                            condition: str = "") -> list[PreferencePair]:
-    """All ordered pairs whose reward gap is at least ``gap_min`` and whose
-    winner reward is no less than ``floor``."""
-    pairs = []
-    for i, (seq_w, rb_w) in enumerate(candidates):
-        if rb_w.r_total < floor:
-            continue
-        for j, (seq_l, rb_l) in enumerate(candidates):
-            if i == j:
-                continue
-            if rb_w.r_total - rb_l.r_total >= gap_min:
-                pairs.append(PreferencePair(condition, seq_w, seq_l,
-                                            rb_w.r_total, rb_l.r_total))
-    return pairs
+    """All ordered pairs, winner-major in candidate order, whose reward gap is at
+    least ``gap_min`` and whose winner reward is no less than ``floor``.  Raises
+    ValueError for a negative or non-finite ``gap_min`` and a non-finite ``floor``."""
+    if not 0 <= gap_min < math.inf:  # false for nan
+        raise ValueError(f"gap_min must be finite and >= 0, got {gap_min}")
+    if not math.isfinite(floor):
+        raise ValueError(f"floor must be finite, got {floor}")
+    return [PreferencePair(condition, seq_w, seq_l, rb_w.r_total, rb_l.r_total)
+            for (seq_w, rb_w), (seq_l, rb_l) in itertools.permutations(candidates, 2)
+            if rb_w.r_total >= floor and rb_w.r_total - rb_l.r_total >= gap_min]
 
 
-def _require_finite(*values: float):
-    for v in values:
-        if not math.isfinite(v):
-            raise NonFiniteInputError(f"non-finite input {v!r}")
+def _finite_result(value: float, name: str, **inputs) -> float:
+    """``value``, or NonFiniteInputError naming ``name``'s ``inputs``: a loss is
+    not finite when an input is not, or when finite inputs overflow."""
+    if not math.isfinite(value):
+        raise NonFiniteInputError(f"{name} is not finite for {inputs}")
+    return value
 
 
 def _log_sigmoid(x: float) -> float:
@@ -155,13 +154,15 @@ def dpo_loss(logp_w_policy: float, logp_l_policy: float,
     """Reward-weighted preference loss:
     -gap * log sigmoid(beta * ((logp_w_policy - logp_w_ref) - (logp_l_policy - logp_l_ref))).
     """
-    _require_finite(logp_w_policy, logp_l_policy, logp_w_ref, logp_l_ref, reward_gap, beta)
     if reward_gap < 0:
         raise ValueError("reward_gap must be nonnegative")
     if beta <= 0:
         raise ValueError("beta must be positive")
     margin = beta * ((logp_w_policy - logp_w_ref) - (logp_l_policy - logp_l_ref))
-    return -reward_gap * _log_sigmoid(margin)
+    loss = -reward_gap * _log_sigmoid(margin) if math.isfinite(margin) else math.nan
+    return _finite_result(loss, "dpo_loss", logp_w_policy=logp_w_policy,
+                          logp_l_policy=logp_l_policy, logp_w_ref=logp_w_ref,
+                          logp_l_ref=logp_l_ref, reward_gap=reward_gap, beta=beta)
 
 
 def sft_loss(token_logps) -> float:
@@ -169,13 +170,11 @@ def sft_loss(token_logps) -> float:
     values = list(token_logps)
     if not values:
         raise ValueError("token_logps must be nonempty")
-    _require_finite(*values)
-    return -sum(values)
+    return _finite_result(-sum(values), "sft_loss", token_logps=values)
 
 
 def post_loss(dpo: float, sft: float, sft_weight: float = 1.0) -> float:
     """Combined post-training objective: dpo + sft_weight * sft."""
-    _require_finite(dpo, sft, sft_weight)
     if sft_weight < 0:
         raise ValueError("sft_weight must be nonnegative")
-    return dpo + sft_weight * sft
+    return _finite_result(dpo + sft_weight * sft, "post_loss", dpo=dpo, sft=sft, sft_weight=sft_weight)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,28 +44,18 @@ class PhysicsParams:
                 raise ValueError(f"{name} must be finite and in (0, {ceiling:.7g}), got {value}")
 
 
-@dataclass
-class EquilibriumProgram:
-    """Sparse LP description: minimize M * sum|slack| + t subject to
-    per-brick force and moment balance.
+EquilibriumProgram = namedtuple("EquilibriumProgram",
+                                "indices contacts grounds c A_eq b_eq A_ub b_ub bounds")
+EquilibriumProgram.__doc__ = """Sparse LP description: minimize M * sum|slack| + t subject to
+per-brick force and moment balance.
 
-    Variable layout: contact forces, ground forces, split slack pairs
-    (force, moment-x, moment-y per brick), then the tension scale t.
-    Constraints: 3 equality rows per brick plus nonnegativity of the 6 split
-    slack variables per brick (ground forces and t are plain variable
-    bounds).  ``contacts`` has one (lower, upper, cx, cy) row per contact
-    column and ``grounds`` one (brick, cx, cy) row per ground column.
-    """
-
-    indices: list[int]
-    contacts: np.ndarray
-    grounds: np.ndarray
-    c: np.ndarray
-    A_eq: object  # scipy.sparse.csr_array
-    b_eq: np.ndarray
-    A_ub: object  # scipy.sparse.csr_array
-    b_ub: np.ndarray
-    bounds: list[tuple[float | None, float | None]]
+Variable layout: contact forces, ground forces, split slack pairs
+(force, moment-x, moment-y per brick), then the tension scale t.
+Constraints: 3 equality rows per brick plus nonnegativity of the 6 split
+slack variables per brick (ground forces and t are plain variable
+bounds).  ``contacts`` has one (lower, upper, cx, cy) row per contact
+column and ``grounds`` one (brick, cx, cy) row per ground column.
+"""
 
 
 def assemble_equilibrium_program(assembly: BrickAssembly, params: PhysicsParams,
@@ -162,7 +153,7 @@ class StabilityReport:
         return json.dumps(payload, indent=2) + "\n"
 
 
-def certified_unstable(assembly: BrickAssembly, params: PhysicsParams) -> int | None:
+def certified_unstable(assembly: BrickAssembly, params: PhysicsParams | None = None) -> int | None:
     """The first brick that ``stability_scores`` must score 0 by geometry alone, or None.
 
     Forces act on a brick off z = 0 only at the centres of its contact cells
@@ -173,6 +164,7 @@ def certified_unstable(assembly: BrickAssembly, params: PhysicsParams) -> int | 
     brick counts when that bound exceeds ``slack_tolerance`` by 1e-6, 1000
     times the solver's 1e-9 feasibility tolerance.
     """
+    params = params or PhysicsParams()
     for i, brick in enumerate(assembly.bricks):
         x, y, z, h, w = brick.x, brick.y, brick.z, brick.h, brick.w
         if z == 0:  # ground contact under every cell

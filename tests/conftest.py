@@ -56,7 +56,14 @@ from brickforge.geometry import (
     voxelize_points,
 )
 from brickforge.ldraw import CELL_UNITS, COLOR, LAYER_UNITS, PART_IDS
-from brickforge.reward import DEFAULT_SURFACE_SAMPLES, RewardBreakdown, compose_reward
+from brickforge.reward import (
+    DEFAULT_SURFACE_SAMPLES,
+    PAIR_FLOOR,
+    PAIR_GAP_MIN,
+    PreferencePair,
+    RewardBreakdown,
+    compose_reward,
+)
 from brickforge.stability import (
     _SOLVER_OPTIONS,
     SLACK_PENALTY,
@@ -929,6 +936,37 @@ def total_reward_reference(target: PointCloud, candidate: BrickAssembly,
     d_cd = chamfer_reference(normalize_cloud(target), normalize_cloud(sampled))
     report = stability_scores(candidate, params)
     return compose_reward(r_iou, d_cd, report.min_score)
+
+
+def build_preference_pairs_reference(candidates, gap_min: float = PAIR_GAP_MIN,
+                                     floor: float = PAIR_FLOOR,
+                                     condition: str = "") -> list[PreferencePair]:
+    """Preference pairs from two index loops with an ``i == j`` skip, kept as
+    the oracle for ``build_preference_pairs``, which walks
+    ``itertools.permutations`` once."""
+    pairs = []
+    for i, (seq_w, rb_w) in enumerate(candidates):
+        if rb_w.r_total < floor:
+            continue
+        for j, (seq_l, rb_l) in enumerate(candidates):
+            if i == j:
+                continue
+            if rb_w.r_total - rb_l.r_total >= gap_min:
+                pairs.append(PreferencePair(condition, seq_w, seq_l,
+                                            rb_w.r_total, rb_l.r_total))
+    return pairs
+
+
+def cloud_to_text_reference(cloud: PointCloud) -> str:
+    """``PointCloud.to_text`` formatting each point and its normal apart, kept
+    as the oracle for the one-table formatter."""
+    rows = []
+    for i, p in enumerate(cloud.points):
+        fields = [repr(float(v)) for v in p]
+        if cloud.normals is not None:
+            fields += [repr(float(v)) for v in cloud.normals[i]]
+        rows.append(" ".join(fields))
+    return "\n".join(rows) + "\n"
 
 
 def mesh_edge_census(mesh) -> dict:

@@ -22,6 +22,8 @@ from brickforge.errors import (
     OutOfBoundsError,
     SizeNotInLibraryError,
 )
+from brickforge.decode import RollbackEvent
+from brickforge.stability import EquilibriumProgram, PhysicsParams, assemble_equilibrium_program
 from brickforge.tokens import Token
 from brickforge.tree import build_spanning_tree
 
@@ -288,6 +290,25 @@ def test_spanning_tree_is_a_record_compared_by_its_fields():
     assert tree == (0, {0: [1], 1: []}, [0, 1], {1: (1, 0)})
     again = build_spanning_tree(a)
     assert again == tree and again is not tree
+
+
+def test_rollback_event_is_a_record_compared_by_its_fields():
+    event = RollbackEvent(body_len_before=9, body_len_after=4, brick=2, cause="lp")
+    assert event._fields == ("body_len_before", "body_len_after", "brick", "cause")
+    assert event == (9, 4, 2, "lp") and event != RollbackEvent(9, 4, 2, "certificate")
+    with pytest.raises(AttributeError):
+        event.brick = 3
+
+
+def test_equilibrium_program_is_a_record_compared_by_its_fields():
+    a = BrickAssembly((Brick(2, 4, 0, 0, 0), Brick(2, 2, 1, 0, 1)))
+    program = assemble_equilibrium_program(a, PhysicsParams())
+    assert program._fields == ("indices", "contacts", "grounds", "c", "A_eq", "b_eq", "A_ub",
+                               "b_ub", "bounds")
+    assert program == EquilibriumProgram(**program._asdict())
+    assert program != program._replace(bounds=program.bounds[:-1])
+    with pytest.raises(AttributeError):
+        program.c = program.c.copy()
 
 
 def test_spanning_tree_edges_subset_and_count(rng):

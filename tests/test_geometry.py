@@ -30,6 +30,7 @@ from conftest import (
     assert_watertight,
     chamfer_bruteforce,
     chamfer_reference,
+    cloud_to_text_reference,
     enclosed_volume,
     euler_characteristic,
     grow_random_assembly,
@@ -403,6 +404,21 @@ class TestWireFormats:
         cloud = PointCloud(np.array([[0.5, 1.5, -2.0], [3.0, 0.0, 1.0]]), n)
         back = PointCloud.from_text(cloud.to_text())
         assert np.array_equal(back.normals, n)
+
+    def test_cloud_text_equals_the_per_row_reference(self, rng):
+        normals = rng.normal(size=(30, 3))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        odd = np.array([[0.1 + 0.2, 1e-300, -0.0], [5e-324, -1e308, 1.7976931348623157e308]])
+        odd_normals = np.array([[-0.0, 1.0, 0.0], [0.6, -0.8, -0.0]])
+        clouds = [PointCloud(rng.normal(size=(30, 3)) * 10),
+                  PointCloud(rng.normal(size=(30, 3)), normals),
+                  PointCloud([[1.5, -2.0, 0.25]]), PointCloud([[1.5, -2.0, 0.25]], [[0.0, 0.0, -1.0]]),
+                  PointCloud(np.zeros((0, 3))), PointCloud(np.zeros((0, 3)), np.zeros((0, 3))),
+                  PointCloud(odd), PointCloud(odd, odd_normals)]
+        for cloud in clouds:
+            assert cloud.to_text() == cloud_to_text_reference(cloud)
+        assert clouds[4].to_text() == clouds[5].to_text() == "\n"
+        assert clouds[7].to_text().split("\n")[0] == "0.30000000000000004 1e-300 -0.0 -0.0 1.0 0.0"
 
     def test_grid_dict_roundtrip(self, rng):
         grid = VoxelGrid(rng.random((20, 20, 20)) < 0.2)

@@ -464,6 +464,9 @@ class TestCli:
         (["prefpairs", "--target", "c.xyz", "a.json"], "--samples", "1048577"),
         (["prefpairs", "--target", "c.xyz", "a.json"], "--samples", "100000000000000000000"),
         (["prefpairs", "--target", "c.xyz", "a.json"], "--gap-min", "nan"),
+        (["prefpairs", "--target", "c.xyz", "a.json"], "--gap-min", "-1"),
+        (["prefpairs", "--target", "c.xyz", "a.json"], "--gap-min", "-5e-324"),
+        (["prefpairs", "--target", "c.xyz", "a.json"], "--gap-min", "inf"),
         (["prefpairs", "--target", "c.xyz", "a.json"], "--floor", "nan"),
         (["generate", "--target", "t.json"], "--max-bricks", "0"),
         (["generate", "--target", "t.json"], "--max-rollbacks", "0"),

@@ -1,9 +1,13 @@
 import math
 import sys
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from brickforge import reward
 from brickforge.bricks import Brick, BrickAssembly
@@ -28,7 +32,7 @@ from brickforge.reward import (
 from brickforge.stability import stability_scores
 from brickforge.tokens import TokenSequence
 
-from conftest import chamfer_bruteforce, total_reward_reference
+from conftest import build_preference_pairs_reference, chamfer_bruteforce, total_reward_reference
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 sys.path.insert(0, str(BENCH))
@@ -190,6 +194,114 @@ class TestPreferencePairs:
         pairs = build_preference_pairs([(seq(i), fake(t)) for i, t in enumerate(totals)])
         seen = {(p.winner.to_text(), p.loser.to_text()) for p in pairs}
         assert not any((l, w) in seen for w, l in seen)
+
+    # Binary fractions, so that gaps and totals fall exactly on the thresholds;
+    # the defaults (0.2, 1.0) are checked on the same lists.
+    @pytest.mark.parametrize("gap_min, floor", [(0.25, 1.0), (0.0, 1.0), (0.5, 0.75), (0.75, 1.5)])
+    def test_pairs_equal_the_nested_loops_in_order(self, gap_min, floor):
+        rng = np.random.default_rng(31)
+        totals = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.25)
+        at_gap = at_floor = 0
+        for k in range(90):
+            drawn = [float(t) for t in rng.choice(totals, size=k % 9)]
+            candidates = [(seq(i), fake(t)) for i, t in enumerate(drawn)]
+            assert [c[1].r_total for c in candidates] == drawn
+            ours = build_preference_pairs(candidates, gap_min, floor, condition=f"c{k}")
+            assert ours == build_preference_pairs_reference(candidates, gap_min, floor, f"c{k}")
+            assert build_preference_pairs(candidates) == build_preference_pairs_reference(candidates)
+            at_gap += sum(p.reward_gap == gap_min for p in ours)
+            at_floor += sum(p.reward_winner == floor for p in ours)
+        assert at_gap > 0 and at_floor > 0
+
+    @pytest.mark.parametrize("kwargs", [
+        {"gap_min": -0.1}, {"gap_min": -5e-324}, {"gap_min": math.nan}, {"gap_min": math.inf},
+        {"floor": math.nan}, {"floor": math.inf}, {"floor": -math.inf},
+    ])
+    def test_a_negative_or_non_finite_threshold_is_refused(self, kwargs):
+        for n in (0, 2):
+            with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must be finite"):
+                build_preference_pairs([(seq(i), fake(2.5 - i)) for i in range(n)], **kwargs)
+
+
+# Finite floats, subnormals and the ends of the range among them.
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [1e308, -1e308, 1.7976931348623157e308, 5e-324, -5e-324, 0.0, -0.0])
+PROPERTY = settings(max_examples=300, deadline=None, database=None, derandomize=True)
+
+
+def finite_or_non_finite_error(loss_fn, *args, name: str):
+    """``loss_fn(*args)`` with RuntimeWarning as an error: a finite float, or
+    NonFiniteInputError naming ``name``'s inputs (then None)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            loss = loss_fn(*args)
+        except NonFiniteInputError as err:
+            assert str(err).startswith(f"{name} is not finite for {{")
+            return None
+    assert type(loss) is float and math.isfinite(loss)
+    return loss
+
+
+@PROPERTY
+@given(logps=st.tuples(FINITE, FINITE, FINITE, FINITE), gap=FINITE, beta=FINITE)
+@example(logps=(-1e308, 1e308, 1e308, -1e308), gap=0.0, beta=1.0)
+@example(logps=(-1e308, 1e308, 1e308, -1e308), gap=1.0, beta=1.0)
+def test_dpo_loss_is_finite_or_a_domain_error(logps, gap, beta):
+    if gap < 0 or beta <= 0:
+        with pytest.raises(ValueError):
+            dpo_loss(*logps, reward_gap=gap, beta=beta)
+    elif finite_or_non_finite_error(dpo_loss, *logps, gap, beta, name="dpo_loss") is None:
+        # refused only where an exact intermediate, or the loss, leaves the float range
+        w_policy, l_policy, w_ref, l_ref = map(Fraction, logps)
+        w_gain, l_gain = w_policy - w_ref, l_policy - l_ref
+        margin = Fraction(beta) * (w_gain - l_gain)
+        sizes = (w_gain, l_gain, w_gain - l_gain, margin, Fraction(gap) * max(1, abs(margin)))
+        assert max(map(abs, sizes)) > Fraction(1e307)
+
+
+@PROPERTY
+@given(values=st.lists(FINITE, min_size=1, max_size=8))
+@example(values=[-1e308, -1e308])
+def test_sft_loss_is_finite_or_a_domain_error(values):
+    if finite_or_non_finite_error(sft_loss, values, name="sft_loss") is None:
+        assert max(map(abs, values)) > 1e307
+
+
+@PROPERTY
+@given(dpo=FINITE, sft=FINITE, weight=FINITE)
+@example(dpo=1e308, sft=1e308, weight=1.0)
+def test_post_loss_is_finite_or_a_domain_error(dpo, sft, weight):
+    if weight < 0:
+        with pytest.raises(ValueError):
+            post_loss(dpo, sft, sft_weight=weight)
+    elif finite_or_non_finite_error(post_loss, dpo, sft, weight, name="post_loss") is None:
+        assert max(abs(dpo), abs(sft) * weight) > 1e307 / 2
+
+
+@pytest.mark.parametrize("name, call, values", [
+    ("dpo_loss", lambda v: dpo_loss(*v), [-3.0, -5.0, -3.0, -5.0, 1.7, 1.0]),
+    ("sft_loss", sft_loss, [-1.0, -2.0, -3.0]),
+    ("post_loss", lambda v: post_loss(*v), [2.0, 3.0, 0.5]),
+])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_input_is_a_domain_error(name, call, values, bad):
+    for k in range(len(values)):
+        with pytest.raises(NonFiniteInputError, match=f"{name} is not finite"):
+            call(values[:k] + [bad] + values[k + 1:])
+
+
+@pytest.mark.parametrize("loss_fn, args, names", [
+    (dpo_loss, (-1e308, 1e308, 1e308, -1e308, 0.0), "'logp_w_policy': -1e+308, 'logp_l_policy':"
+     " 1e+308, 'logp_w_ref': 1e+308, 'logp_l_ref': -1e+308, 'reward_gap': 0.0, 'beta': 1.0"),
+    (dpo_loss, (-1e308, 1e308, 1e308, -1e308, 1.0), "'reward_gap': 1.0, 'beta': 1.0"),
+    (post_loss, (1e308, 1e308), "'dpo': 1e+308, 'sft': 1e+308, 'sft_weight': 1.0"),
+    (sft_loss, ([-1e308, -1e308],), "'token_logps': [-1e+308, -1e+308]"),
+])
+def test_overflowing_losses_raise_a_domain_error_naming_their_inputs(loss_fn, args, names):
+    with pytest.raises(NonFiniteInputError, match=f"{loss_fn.__name__} is not finite for") as exc:
+        loss_fn(*args)
+    assert names in str(exc.value) and exc.value.code == "non_finite_input"
 
 
 class TestDpoLoss:

@@ -153,6 +153,7 @@ def test_a_certified_candidate_scores_zero_where_the_solver_fails(monkeypatch):
 ])
 def test_certified_brick(assembly, brick):
     assert certified_unstable(assembly, PhysicsParams()) == brick
+    assert certified_unstable(assembly) == certified_unstable(assembly, PhysicsParams())
     if brick is not None:
         assert stability_scores(assembly).scores[brick] == 0.0
 
