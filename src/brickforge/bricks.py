@@ -85,10 +85,16 @@ class Brick(_Record):
     def from_dict(d: dict) -> "Brick":
         """Inverse of :meth:`to_dict`; every field must be an int (not a bool,
         a float or a string), or MalformedInputError is raised."""
-        values = [d.get(k) for k in "hwxyz"] if isinstance(d, dict) else [None]
-        if not all(type(v) is int for v in values):
-            raise MalformedInputError(f"brick {d!r} needs int fields h, w, x, y, z")
-        return Brick(*values)
+        return Brick(*_int_fields(d, "hwxyz", "brick"))
+
+
+def _int_fields(data, keys: str, what: str) -> tuple[int, ...]:
+    """The int values (not bools, floats or strings) of the one-letter fields ``keys``
+    of the dict ``data``; anything else raises MalformedInputError naming ``what``."""
+    values = tuple(data.get(k) for k in keys) if isinstance(data, dict) else (None,)
+    if not all(type(v) is int for v in values):
+        raise MalformedInputError(f"{what} {data!r} needs int fields {', '.join(keys)}")
+    return values
 
 
 def _stamp(cells: bytearray, brick: Brick) -> None:

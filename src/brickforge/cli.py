@@ -16,8 +16,10 @@ stability, score, prefpairs, generate and voxelize load numpy or scipy.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -26,16 +28,39 @@ import brickforge as bf
 from .errors import BrickforgeError, MalformedInputError
 
 
-def _emit(text: str, out: str | None = None):
-    """Write a command's result, after all of its work, to the file ``out`` or
-    to stdout.  An unwritable path raises MalformedInputError, as a bad input does."""
-    if not out:
-        sys.stdout.write(text)
-        return
-    try:
-        Path(out).write_text(text)
+_temps: dict[str, str] = {}  # output path -> its temporary file, from main until _emit
+
+
+def _reserve(out: str):
+    """Before a command's work, an empty temporary file beside ``out`` (after symlinks),
+    with its mode, for _emit to fill and move over it; a device or a pipe gets none."""
+    try:  # the checks follow symlinks, so /dev/stdout on a pipe is a pipe
+        if os.path.isdir(out):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if os.path.isfile(out) or not os.path.exists(out):
+            mode = os.stat(out).st_mode & 0o7777 if os.path.exists(out) else 0o666
+            temp = f"{os.path.realpath(out)}.{os.urandom(4).hex()}.tmp"
+            os.close(os.open(temp, os.O_CREAT | os.O_EXCL, mode))
+            _temps[out] = temp
     except OSError as err:  # a missing directory, a directory, no permission
         raise MalformedInputError(f"cannot write {out}: {err.strerror}") from None
+
+
+def _emit(text: str, out: str | None = None, *files: tuple[str, str]):
+    """Write a command's results after all of its work: each (text, path) of ``files``,
+    then ``text`` to the file ``out`` or to stdout.  Every file is written to its
+    reserved temporary file before any moves over its path, so each lands whole."""
+    files += ((text, out),) if out else ()
+    try:
+        for data, path in files:
+            Path(_temps.get(path, path)).write_text(data)
+        for _, path in files:
+            if path in _temps:
+                os.replace(_temps.pop(path), os.path.realpath(path))
+    except OSError as err:
+        raise MalformedInputError(f"cannot write {path}: {err.strerror}") from None
+    if not out:
+        sys.stdout.write(text)
 
 
 def _read(path: str, as_json: bool = False):
@@ -97,22 +122,21 @@ def _checked(convert, accept, want: str):
 
 _finite = _checked(float, math.isfinite, "must be finite")
 _gap = _checked(float, lambda v: 0 <= v < math.inf, "must be finite and >= 0")
-_count = _checked(int, lambda v: v >= 1, "must be an integer >= 1")
 _seed = _checked(int, lambda v: v >= 0, "must be an integer >= 0")
 _samples = _checked(int, lambda v: 2 <= v <= 1 << 20, "must be an integer in [2, 1048576]")
 
 
-def _physics_field(name: str):
-    """An argparse ``type=`` for the PhysicsParams field ``name``: a value
-    PhysicsParams refuses is a usage error (exit 2) giving its reason."""
-    def parse(text: str) -> float:
-        value = float(text)
+def _record_field(record: str, name: str, convert=float):
+    """An argparse ``type=`` for the field ``name`` of the package's record ``record``, looked
+    up at parse time: a value the record refuses is a usage error (exit 2) giving its reason."""
+    def parse(text: str):
+        value = convert(text)
         try:
-            bf.PhysicsParams(**{name: value})
+            getattr(bf, record)(**{name: value})
         except ValueError as err:
             raise argparse.ArgumentTypeError(f"{err} (from {text!r})") from None
         return value
-    parse.__name__ = "float"  # argparse names it in "invalid float value"
+    parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
     return parse
 
 
@@ -122,8 +146,7 @@ def _physics(args) -> bf.PhysicsParams:
 
 
 def _cmd_tokenize(args) -> int:
-    seq = bf.tokenize(_load_assembly(args.input))
-    _emit(seq.to_text() + "\n", args.output)
+    _emit(bf.tokenize(_load_assembly(args.input)).to_text() + "\n", args.output)
     return 0
 
 
@@ -156,9 +179,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_stability(args) -> int:
-    assembly = _load_assembly(args.input)
-    report = bf.stability_scores(assembly, _physics(args))
-    _emit(report.to_json(), args.output)
+    _emit(bf.stability_scores(_load_assembly(args.input), _physics(args)).to_json(), args.output)
     return 0
 
 
@@ -178,19 +199,14 @@ def _cmd_prefpairs(args) -> int:
 
 def _cmd_generate(args) -> int:
     target = _load_target_grid(args)
-    if args.policy == "uniform":
-        policy = bf.UniformLegalPolicy()
-    else:
-        policy = bf.GreedyGeometryPolicy(**_given(args, "temperature"))
+    policy = (bf.UniformLegalPolicy() if args.policy == "uniform"
+              else bf.GreedyGeometryPolicy(**_given(args, "temperature")))
     budgets = bf.DecodeBudgets(**_given(args, "max_resamples_per_tuple", "max_rollbacks",
                                         "max_bricks"))
     result = bf.generate(policy, target, budgets, _physics(args), **_given(args, "seed"))
-    if args.emit_tokens:
-        _emit(result.sequence.to_text() + "\n", args.emit_tokens)
-    _emit(result.assembly.to_json(), args.output)
-    trace = result.trace.to_dict()
-    trace["stable"] = result.stable
-    sys.stderr.write(json.dumps(trace) + "\n")
+    tokens = ((result.sequence.to_text() + "\n", args.emit_tokens),) if args.emit_tokens else ()
+    _emit(result.assembly.to_json(), args.output, *tokens)
+    sys.stderr.write(json.dumps({**result.trace.to_dict(), "stable": result.stable}) + "\n")
     return 0
 
 
@@ -207,11 +223,8 @@ def _cmd_voxelize(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    per_file = []
-    for path in args.inputs:
-        stats = bf.sequence_stats(_load_sequence(path))
-        per_file.append({"file": path, "N": stats.n_bricks, "I": stats.n_eop,
-                         "T": stats.length})
+    per_file = [{"file": path, **dict(zip("NIT", bf.sequence_stats(_load_sequence(path))))}
+                for path in args.inputs]  # (N, I, T): bricks, EOPs, length
     mean_t = sum(s["T"] for s in per_file) / len(per_file)
     _emit(json.dumps({"sequences": per_file, "mean_T": mean_t}, indent=2) + "\n")
     return 0
@@ -230,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
                              ("--weight", "brick_weight_per_cell", "brick weight per footprint cell"),
                              ("--slack-eps", "slack_tolerance", "equilibrium slack tolerance")):
         physics.add_argument(flag, dest=name, metavar=flag[2:].upper().replace("-", "_"),
-                             type=_physics_field(name), help=text)
+                             type=_record_field("PhysicsParams", name), help=text)
     fill = argparse.ArgumentParser(add_help=False, **omit)
     fill.add_argument("--no-solid-fill", dest="solid_fill", action="store_false")
     scoring = argparse.ArgumentParser(add_help=False, **omit)
@@ -280,10 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", choices=("uniform", "greedy"), default="greedy")
     p.add_argument("--temperature", type=_finite)
     p.add_argument("--seed", type=_seed)
-    p.add_argument("--max-resamples", dest="max_resamples_per_tuple", metavar="MAX_RESAMPLES",
-                   type=_count)
-    p.add_argument("--max-rollbacks", type=_count)
-    p.add_argument("--max-bricks", type=_count)
+    for flag, name in (("--max-resamples", "max_resamples_per_tuple"),
+                       ("--max-rollbacks", "max_rollbacks"), ("--max-bricks", "max_bricks")):
+        p.add_argument(flag, dest=name, metavar=flag[2:].upper().replace("-", "_"),
+                       type=_record_field("DecodeBudgets", name, int))
     p.add_argument("--emit-tokens", default=None, help="also write the token sequence here")
     p.set_defaults(func=_cmd_generate)
 
@@ -305,10 +318,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for out in filter(None, dict.fromkeys(map(vars(args).get, ("output", "emit_tokens")))):
+            _reserve(out)
         return args.func(args)
     except BrickforgeError as err:
         sys.stderr.write(json.dumps({"error": err.code, "detail": str(err)}) + "\n")
         return 1
+    finally:  # a failed command leaves no temporary file
+        while _temps:
+            os.remove(_temps.popitem()[1])
 
 
 if __name__ == "__main__":

@@ -25,14 +25,17 @@ import subprocess
 import time
 from collections import namedtuple
 from dataclasses import dataclass, field
+from numbers import Integral
 from operator import index
 
 import numpy as np
 
-from .attach import attachment_offset, decode_attachment
-from .bricks import CATALOG_SIZES, GRID, Brick, BrickAssembly, is_free
+from .attach import attachment_offset
+from .attach import decode_attachment  # bound only for bench/tracer.py (ROADMAP item 11)
+from .bricks import CATALOG_SIZES, GRID, Brick, BrickAssembly, _int_fields, is_free
 from .errors import (
     BudgetExhaustedError,
+    CollisionError,
     EmptyTargetError,
     InconsistentSequenceError,
     MalformedInputError,
@@ -47,11 +50,11 @@ from .tokens import BOS, TokenSequence
 
 # validate_tuple rejection reasons
 REJECT_CONNECTOR = "connector_out_of_range"
-REJECT_SIZE = "size_not_in_library"
+REJECT_SIZE = SizeNotInLibraryError.code
 REJECT_ANCHOR = "anchor_out_of_range"
 REJECT_NON_MONOTONE = "non_monotone_f"
-REJECT_BOUNDS = "out_of_bounds"
-REJECT_COLLISION = "collision"
+REJECT_BOUNDS = OutOfBoundsError.code
+REJECT_COLLISION = CollisionError.code
 
 OVERFLOW_PENALTY = 2.0  # GreedyGeometryPolicy: score lost per newly occupied non-target cell
 REPLY_TIMEOUT_S = 60.0  # SubprocessPolicy: the longest wait for one reply line
@@ -78,9 +81,10 @@ class DecodeBudgets:
     max_rollbacks: int = 16
     max_bricks: int = 400
 
-    def __post_init__(self):
-        if min(self.max_resamples_per_tuple, self.max_rollbacks, self.max_bricks) < 1:
-            raise ValueError("all budgets must be positive")
+    def __post_init__(self):  # numpy integers pass; nan, 1.5 or "3" would never end or crash later
+        for name, value in vars(self).items():
+            if not isinstance(value, Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def validate_tuple(state: DecodeState, f: int, h: int, w: int, m: int):
@@ -103,11 +107,11 @@ def validate_tuple(state: DecodeState, f: int, h: int, w: int, m: int):
         return None, REJECT_BOUNDS
     if not is_free(state.cells, rh, rw, x, y, z):
         return None, REJECT_COLLISION
-    try:  # accepted: numpy integers go on as ints, and a float equal to one is refused
-        f, h, w, m = index(f), index(h), index(w), index(m)
+    try:  # accepted: a float equal to an int is refused
+        index(f), index(h), index(w), index(m)
     except TypeError:
         raise MalformedInputError(f"tuple fields {(f, h, w, m)!r} are not all ints") from None
-    return decode_attachment(f, m, parent, (h, w)), None
+    return Brick(rh, rw, x, y, z), None
 
 
 class Policy:
@@ -314,14 +318,6 @@ class SubprocessPolicy(Policy):
             raise MalformedInputError(f"external policy reply {line.rstrip()!r} is not a JSON object")
         return reply
 
-    @staticmethod
-    def _ints(reply: dict, keys: str) -> tuple[int, ...]:
-        values = tuple(reply.get(k) for k in keys)
-        if not all(type(v) is int for v in values):
-            raise MalformedInputError(
-                f"external policy reply {reply!r} needs int fields {', '.join(keys)}")
-        return values
-
     def _request(self, state: DecodeState, parent: Brick | None) -> dict:
         prefix = [BOS] + state.body
         return self._roundtrip({
@@ -334,7 +330,7 @@ class SubprocessPolicy(Policy):
         reply = self._request(DecodeState(), None)
         if reply.get("action") != "root":
             raise MalformedInputError(f"expected a root action, got {reply!r}")
-        return self._ints(reply, "xyzhw")
+        return _int_fields(reply, "xyzhw", "external policy reply")
 
     def propose(self, target, state, rng):
         reply = self._request(state, state.current_parent())
@@ -342,7 +338,7 @@ class SubprocessPolicy(Policy):
         if action == "eop":
             return None
         if action == "tuple":
-            return self._ints(reply, "fhwm")
+            return _int_fields(reply, "fhwm", "external policy reply")
         raise MalformedInputError(f"expected tuple/eop action, got {reply!r}")
 
 
@@ -405,24 +401,19 @@ def rollback(state: DecodeState, brick: int) -> DecodeState:
     return state
 
 
-def _sample_root(policy: Policy, target: VoxelGrid, state: DecodeState,
-                 rng: np.random.Generator, budgets: DecodeBudgets, trace: GenerateTrace):
-    for _ in range(budgets.max_resamples_per_tuple):
-        x, y, z, h, w = policy.propose_root(target, rng)
-        try:
-            brick = Brick(h, w, x, y, z)
-        except (OutOfBoundsError, SizeNotInLibraryError) as err:
-            trace.reject(err.code)
-            continue
-        state.apply_root(brick)
-        return
-    raise BudgetExhaustedError("root_resamples")
-
-
 def _run_episode(policy: Policy, target: VoxelGrid, state: DecodeState,
                  rng: np.random.Generator, budgets: DecodeBudgets, trace: GenerateTrace):
     if not state.started:
-        _sample_root(policy, target, state, rng, budgets, trace)
+        for _ in range(budgets.max_resamples_per_tuple):
+            x, y, z, h, w = policy.propose_root(target, rng)
+            try:
+                brick = Brick(h, w, x, y, z)
+                break
+            except (OutOfBoundsError, SizeNotInLibraryError) as err:
+                trace.reject(err.code)
+        else:
+            raise BudgetExhaustedError("root_resamples")
+        state.apply_root(brick)
     while not state.done and len(state.bricks) < budgets.max_bricks:
         for _ in range(budgets.max_resamples_per_tuple):
             action = policy.propose(target, state, rng)

@@ -122,9 +122,7 @@ class SurfaceMesh:
         return len(self.triangles)
 
     def triangle_areas(self) -> np.ndarray:
-        a = self.vertices[self.triangles[:, 0]]
-        b = self.vertices[self.triangles[:, 1]]
-        c = self.vertices[self.triangles[:, 2]]
+        a, b, c = self.vertices[self.triangles.T]
         return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
 
 
@@ -338,9 +336,7 @@ def sample_surface(mesh: SurfaceMesh, n: int, seed: int) -> PointCloud:
     fold = u + v > 1.0
     u[fold] = 1.0 - u[fold]
     v[fold] = 1.0 - v[fold]
-    a = mesh.vertices[mesh.triangles[picks, 0]]
-    b = mesh.vertices[mesh.triangles[picks, 1]]
-    c = mesh.vertices[mesh.triangles[picks, 2]]
+    a, b, c = mesh.vertices[mesh.triangles[picks].T]
     points = a + u[:, None] * (b - a) + v[:, None] * (c - a)
     return PointCloud(points)
 

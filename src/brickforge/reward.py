@@ -166,11 +166,12 @@ def dpo_loss(logp_w_policy: float, logp_l_policy: float,
 
 
 def sft_loss(token_logps) -> float:
-    """Negative sum of per-token log-probabilities of the ground truth."""
+    """Negative sum of per-token log-probabilities of the ground truth, added in
+    ascending order so that the same values give the same loss, or refusal, in any order."""
     values = list(token_logps)
     if not values:
         raise ValueError("token_logps must be nonempty")
-    return _finite_result(-sum(values), "sft_loss", token_logps=values)
+    return _finite_result(-sum(sorted(values)), "sft_loss", token_logps=values)
 
 
 def post_loss(dpo: float, sft: float, sft_weight: float = 1.0) -> float:

@@ -154,7 +154,7 @@ class StabilityReport:
 
 
 def certified_unstable(assembly: BrickAssembly, params: PhysicsParams | None = None) -> int | None:
-    """The first brick that ``stability_scores`` must score 0 by geometry alone, or None.
+    """The first brick its contact cells show must score 0, or None; floating parts go unchecked.
 
     Forces act on a brick off z = 0 only at the centres of its contact cells
     (those with a brick directly below or above).  If these lie on a line

@@ -178,6 +178,19 @@ class TestPolicies:
         with pytest.raises(ValueError):
             DecodeBudgets(max_resamples_per_tuple=0)
 
+    # Only constructs the budgets: generate with a nan budget would never return.
+    @pytest.mark.parametrize("name", ["max_resamples_per_tuple", "max_rollbacks", "max_bricks"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 1.5, 2.0, "3",
+                                       None, 0, -1, np.int64(0)], ids=repr)
+    def test_a_budget_that_is_not_an_integer_at_least_1_is_refused(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 1, got "):
+            DecodeBudgets(**{name: value})
+
+    def test_numpy_integer_budgets_pass(self):
+        budgets = DecodeBudgets(np.int64(5), np.int32(1), np.uint16(400))
+        assert (budgets.max_resamples_per_tuple, budgets.max_rollbacks,
+                budgets.max_bricks) == (5, 1, 400)
+
 
 class TestRollback:
     def test_chain_truncates_to_parent_tuple(self):

@@ -486,6 +486,18 @@ class TestCli:
         assert f"argument {flag}: " in err and repr(value) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag, name", [("--max-resamples", "max_resamples_per_tuple"),
+                                            ("--max-rollbacks", "max_rollbacks"),
+                                            ("--max-bricks", "max_bricks")])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_a_budget_flag_gives_the_reason_decode_budgets_gives(self, flag, name, value,
+                                                                  capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--target", "t.json", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: {name} must be an integer >= 1, got {value} (from '{value}')" in err
+
     # Per command line, the keywords each library callee receives (at its
     # last call: a physics flag's parser also tries its value on PhysicsParams):
     # a flag passes its keyword on only when given, so an omitted one leaves

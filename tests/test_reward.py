@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import warnings
@@ -266,6 +267,19 @@ def test_dpo_loss_is_finite_or_a_domain_error(logps, gap, beta):
 def test_sft_loss_is_finite_or_a_domain_error(values):
     if finite_or_non_finite_error(sft_loss, values, name="sft_loss") is None:
         assert max(map(abs, values)) > 1e307
+
+
+@PROPERTY
+@given(values=st.lists(FINITE, min_size=1, max_size=6))
+@example(values=[1e308, -1e308, 1e308])
+@example(values=[0.1, 0.2, 0.3, -0.6, 1e16, -1e16])
+def test_sft_loss_is_the_same_in_any_order(values):
+    def outcome(order):
+        try:
+            return repr(sft_loss(order))
+        except NonFiniteInputError:
+            return "refused"
+    assert len({outcome(order) for order in itertools.permutations(values)}) == 1
 
 
 @PROPERTY
